@@ -10,9 +10,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError
 
 from .model import (Dataset, DesignCache, SurfaceParams, build_design, predict_many)
+from .stationarity import solve_symmetric
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,10 @@ def ls_qssvm_fit(data: Dataset, cfg: LsqConfig = LsqConfig(),
         cache = build_design(data)
     H, rhs, _ = _lsq_system(data, cfg, cache)
     try:
-        theta = scipy.linalg.solve(H, rhs, assume_a="pos")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+        theta = solve_symmetric(H, rhs, positive_definite=True)
+    except LinAlgError:
         H = H + 1e-8 * np.eye(cache.d)
-        theta = scipy.linalg.solve(H, rhs, assume_a="pos")
+        theta = solve_symmetric(H, rhs, positive_definite=True)
     return SurfaceParams.from_vector(theta, cache.m)
 
 
@@ -80,8 +81,7 @@ def _hinge_sq_minimize(th, A, G, mu, passes=80):
     piecewise-linear gradient, so damped Newton converges globally and the
     active set settles in finitely many passes.
     """
-    d = G.shape[0]
-    ridge = 1e-9 * (1.0 + mu)
+    ridge = 1e-9 * (1.0 + mu) * np.eye(G.shape[0])
     val = _hinge_sq_value(th, A, G, mu)
     for _ in range(passes):
         F = 1.0 + A @ th
@@ -91,17 +91,18 @@ def _hinge_sq_minimize(th, A, G, mu, passes=80):
         gnorm = np.linalg.norm(g)
         if gnorm <= 1e-12 * (1.0 + mu):
             break
-        H = G + mu * (Aact.T @ Aact) + ridge * np.eye(d)
-        step = scipy.linalg.solve(H, -g, assume_a="pos")
+        H = G + mu * (Aact.T @ Aact) + ridge
+        step = solve_symmetric(H, -g, positive_definite=True)
         slope = g @ step  # negative by construction
         t = 1.0
-        while t >= 2.0**-30:
-            cand = th + t * step
-            if _hinge_sq_value(cand, A, G, mu) <= val + 1e-4 * t * slope:
+        while True:
+            th_new = th + t * step
+            new_val = _hinge_sq_value(th_new, A, G, mu)
+            # past the last trial step (2**-30) the step 2**-31 is taken as is
+            if new_val <= val + 1e-4 * t * slope or t < 2.0**-30:
                 break
             t *= 0.5
-        new_val = _hinge_sq_value(th + t * step, A, G, mu)
-        th = th + t * step
+        th = th_new
         if val - new_val <= 1e-14 * (1.0 + abs(val)):
             val = new_val
             break
@@ -175,8 +176,8 @@ def _active_set_polish(th, act, A, G, m, tau, alpha, passes=40):
         K = np.block([[G, Aact.T], [Aact, np.zeros((act.size, act.size))]])
         rhs = np.concatenate([np.zeros(d), -np.ones(act.size)])
         try:
-            sol = scipy.linalg.solve(K, rhs)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+            sol = solve_symmetric(K, rhs)
+        except LinAlgError:
             return None
         if not np.all(np.isfinite(sol)):
             return None

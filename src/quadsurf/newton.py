@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import LinAlgError, LinAlgWarning
 
 from .model import Dataset, DesignCache, SurfaceParams, build_design, margins
 from .stationarity import (IndexSets, PStatCertificate, ResidualParts, index_sets,
-                           pstationary_check, residual, saddle_matrix)
+                           pstationary_check, residual, saddle_matrix, solve_symmetric)
 
 GAMMA_FLOOR = 1e-14
 
@@ -128,9 +129,9 @@ def newton_direction(state: SolverState, cache: DesignCache, gamma: float):
         rhs = -np.concatenate([state.residual.grad_part, state.residual.margin_part])
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            sol = scipy.linalg.solve(K, rhs)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
+            warnings.simplefilter("ignore", LinAlgWarning)
+            sol = solve_symmetric(K, rhs, positive_definite=working.size == 0)
+    except (LinAlgError, ValueError):
         sol = None
     if sol is None or not np.all(np.isfinite(sol)):
         sv = scipy.linalg.svdvals(K)

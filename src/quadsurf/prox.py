@@ -73,15 +73,18 @@ def prox_vector(z: np.ndarray, p: ProxParams, tie_to_zero: bool = True) -> np.nd
     return out
 
 
-def prox_contains(u: float, z: float, p: ProxParams, tol: float = 0.0) -> bool:
+def prox_contains(u, z, p: ProxParams, tol: float = 0.0):
     """Whether u lies in the (set-valued) prox of z, both boundary values admitted.
 
     With tol > 0 the branch tests on z and the membership comparisons are
-    relaxed by the same absolute tolerance.
+    relaxed by the same absolute tolerance.  Works elementwise on arrays
+    (returning a boolean array); scalar inputs give a bool.
     """
+    u = np.asarray(u, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
     thr = p.threshold
-    if abs(z) <= tol or abs(z - thr) <= tol:
-        return min(abs(u), abs(u - z)) <= tol
-    if 0.0 < z < thr:
-        return abs(u) <= tol
-    return abs(u - z) <= tol
+    boundary = (np.abs(z) <= tol) | (np.abs(z - thr) <= tol)
+    interior = (0.0 < z) & (z < thr)
+    out = np.where(boundary, np.minimum(np.abs(u), np.abs(u - z)) <= tol,
+                   np.where(interior, np.abs(u) <= tol, np.abs(u - z) <= tol))
+    return bool(out) if out.ndim == 0 else out

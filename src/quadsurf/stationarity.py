@@ -10,13 +10,16 @@ is equivalent to a zero of the block residual
 so the residual norm doubles as a computable optimality certificate.
 """
 
+import functools
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import LinAlgError, LinAlgWarning, lapack
 
 from .model import DesignCache, SurfaceParams, margins, smooth_gradient
 from .prox import ProxParams, prox_contains
@@ -168,7 +171,7 @@ def pstationary_check(theta: SurfaceParams, z: np.ndarray, alpha: float, lam: fl
     grad_residual = float(np.linalg.norm(g))
     F = margins(theta, cache)
     p = ProxParams(alpha=alpha, lam=lam)
-    prox_ok = all(prox_contains(F[i], F[i] + alpha * z[i], p, tol=tol) for i in range(cache.n))
+    prox_ok = bool(np.all(prox_contains(F, F + alpha * z, p, tol=tol)))
 
     tau = p.threshold
     dual_cap = math.sqrt(2.0 * lam / alpha)
@@ -250,6 +253,45 @@ def saddle_matrix(working: np.ndarray, cache: DesignCache, gamma: float = 0.0) -
         K[d:, :d] = A
         K[d:, d:] = -gamma * np.eye(k)
     return K
+
+
+@functools.lru_cache(maxsize=128)
+def _sytrf_lwork(n: int) -> int:
+    return int(lapack.dsytrf_lwork(n)[0])
+
+
+def solve_symmetric(K: np.ndarray, rhs: np.ndarray, positive_definite: bool = False) -> np.ndarray:
+    """Solve K x = rhs for symmetric K (upper triangle read) by direct LAPACK calls.
+
+    Positive-definite systems go through Cholesky (dposv), all others through
+    the blocked Bunch-Kaufman factorisation (dsytrf with its optimal
+    workspace, then dsytrs).  These are the routes scipy.linalg.solve takes
+    for such matrices, so the results agree with it bit for bit, without
+    its per-call validation and structure detection.  Its checks are kept:
+    non-finite input raises ValueError, a failed factorisation raises
+    LinAlgError, and a reciprocal condition estimate below machine epsilon
+    emits LinAlgWarning.
+    """
+    if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    anorm = float(np.abs(K).sum(axis=0).max())
+    if positive_definite:
+        fac, x, info = lapack.dposv(K, rhs)
+        if info != 0:
+            raise LinAlgError(f"matrix is not positive definite (dposv info={info})")
+        rcond, _ = lapack.dpocon(fac, anorm)
+    else:
+        fac, ipiv, info = lapack.dsytrf(K, lwork=_sytrf_lwork(K.shape[0]))
+        if info != 0:
+            raise LinAlgError(f"singular matrix (dsytrf info={info})")
+        x, info = lapack.dsytrs(fac, ipiv, rhs)
+        if info != 0:
+            raise LinAlgError(f"dsytrs info={info}")
+        rcond, _ = lapack.dsycon(fac, ipiv, anorm)
+    if rcond < np.finfo(np.float64).eps:
+        warnings.warn(f"ill-conditioned symmetric system (rcond={rcond:.3e})",
+                      LinAlgWarning, stacklevel=2)
+    return x
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from quadsurf import (Dataset, GenSpec, LsqConfig, accuracy, build_design, compare,
-                      generate, ls_qssvm_fit, lsq_objective_gradient, margins,
-                      warm_start_point)
+from quadsurf import (Dataset, GenSpec, LsqConfig, Normalize, SolverConfig, SolveStatus,
+                      accuracy, apply_normalizer, build_design, compare, fit_normalizer,
+                      generate, load_csv, ls_qssvm_fit, lsq_objective_gradient, margins,
+                      solve, split, warm_start_point)
+
+IRIS_CSV = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
 
 
 class TestLsqFit:
@@ -57,6 +62,25 @@ class TestWarmStart:
         F = margins(theta0, cache)
         tau = np.sqrt(2.0 * 1e-6 * 10.0)
         assert F.max() <= tau
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_polish_with_duplicated_samples(self):
+        # Two identical training samples share one margin row, so the polish's
+        # first active set holds a rank-deficient A_act (rank 13 of 14) and its
+        # saddle solves are near-singular.  The fit must still certify a point
+        # that prices only a few margins; falling back to the penalty duals
+        # instead ends near theta = 0 with every margin violated.
+        data = load_csv(IRIS_CSV, class_pair=(1, 2))
+        train, _ = split(data, 0.8, np.random.SeedSequence(entropy=9000, spawn_key=(87,)))
+        train = apply_normalizer(train, *fit_normalizer(train.points, Normalize.ZSCORE))
+        rows = np.column_stack([train.points, train.labels])
+        assert np.unique(rows, axis=0).shape[0] == train.n - 1
+
+        report = solve(train, SolverConfig(lam=100.0))
+        assert report.status is SolveStatus.CONVERGED
+        assert report.certificate.passed
+        violations = np.count_nonzero(margins(report.final.theta, build_design(train)) > 0.0)
+        assert violations <= train.n // 4
 
 
 class TestCompare:

@@ -10,6 +10,20 @@ def prox_objective(u, z, p):
     return p.lam * (1.0 if u > 0 else 0.0) + (u - z) ** 2 / (2.0 * p.alpha)
 
 
+def prox_contains_loop(u, z, p, tol):
+    """The per-sample branching prox_contains replaced; reference for its array form."""
+    thr = p.threshold
+    out = []
+    for ui, zi in zip(u, z):
+        if abs(zi) <= tol or abs(zi - thr) <= tol:
+            out.append(min(abs(ui), abs(ui - zi)) <= tol)
+        elif 0.0 < zi < thr:
+            out.append(abs(ui) <= tol)
+        else:
+            out.append(abs(ui - zi) <= tol)
+    return np.array(out, dtype=bool)
+
+
 def grid_minimum(z, p, spacing=1e-4):
     """Brute-force prox objective minimum over a grid around z plus {0, z}."""
     grid = np.arange(z - 3.0, z + 3.0 + spacing, spacing)
@@ -136,3 +150,22 @@ class TestProxContains:
         p = ProxParams(alpha=0.5, lam=1.0)
         assert prox_contains(1e-9, 0.5, p, tol=1e-8)
         assert not prox_contains(1e-7, 0.5, p, tol=1e-8)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-8])
+    def test_array_form_matches_scalar_loop(self, rng, tol):
+        p = ProxParams(alpha=0.5, lam=1.0)
+        thr = p.threshold
+        offsets = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0]) * tol  # in, at, beyond tol
+        # z at, near and between the branch points; u near 0 and near z
+        zz, off = np.meshgrid(np.add.outer([0.0, thr, 0.5 * thr], offsets).ravel(), offsets)
+        z_rand = rng.uniform(-2, 2, 300)
+        pick = rng.integers(0, 3, 300)
+        u_rand = np.where(pick == 0, 0.0, np.where(pick == 1, z_rand, rng.uniform(-2, 2, 300)))
+        z = np.concatenate([zz.ravel(), zz.ravel(), z_rand])
+        u = np.concatenate([off.ravel(), (zz + off).ravel(), u_rand])
+
+        expect = prox_contains_loop(u, z, p, tol)
+        np.testing.assert_array_equal(prox_contains(u, z, p, tol=tol), expect)
+        scalar = [prox_contains(ui, zi, p, tol=tol) for ui, zi in zip(u, z)]
+        assert all(type(v) is bool for v in scalar) and scalar == expect.tolist()
+        assert expect.any() and not expect.all()

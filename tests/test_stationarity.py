@@ -1,12 +1,17 @@
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import LinAlgError, LinAlgWarning
 
 from quadsurf import (Dataset, SurfaceParams, alpha_bounds, assumption_rank_check,
                       build_design, index_sets, margins, pstationary_check,
                       recover_multiplier, residual, second_order_check, smooth_gradient)
-from quadsurf.stationarity import saddle_matrix
+from quadsurf.stationarity import saddle_matrix, solve_symmetric
 
 from conftest import random_dataset
 
@@ -311,3 +316,88 @@ class TestEquivalence:
         assert r.norm >= 0.1
         cert = pstationary_check(theta, z2, alpha, 1.0, cache, tol=1e-8)
         assert not cert.passed
+
+
+def _outcome(fn):
+    """(solution or None, exception type or None, LinAlgWarning count) of fn()."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", LinAlgWarning)
+        try:
+            sol, err = fn(), None
+        except (LinAlgError, ValueError) as exc:
+            sol, err = None, type(exc)
+    return sol, err, sum(issubclass(w.category, LinAlgWarning) for w in caught)
+
+
+class TestSolveSymmetric:
+    """The shared LAPACK route must reproduce scipy.linalg.solve bit for bit."""
+
+    def test_spd_matches_scipy(self, rng):
+        B = rng.normal(size=(40, 15))
+        H = B.T @ B + 1e-9 * np.eye(15)
+        b = rng.normal(size=15)
+        expect = scipy.linalg.solve(H, b, assume_a="pos")
+        np.testing.assert_array_equal(solve_symmetric(H, b, positive_definite=True), expect)
+
+    @pytest.mark.parametrize("k", [3, 20, 58, 64, 94])
+    def test_saddle_matches_scipy(self, circ_data, rng, k):
+        # d = 6: orders 64 and 70 sit on either side of dsytrf's 64-column
+        # block, above which the unblocked factorisation rounds differently
+        cache = build_design(circ_data)
+        working = np.sort(rng.choice(cache.n, size=k, replace=False))
+        K = saddle_matrix(working, cache, gamma=0.1 if k > cache.d else 0.0)
+        rhs = rng.normal(size=K.shape[0])
+        np.testing.assert_array_equal(solve_symmetric(K, rhs), scipy.linalg.solve(K, rhs))
+
+    def test_singular_raises(self, circ_data):
+        # G alone has an exactly zero c-row
+        G = saddle_matrix(np.array([], dtype=int), build_design(circ_data))
+        rhs = np.ones(G.shape[0])
+        for positive_definite in (False, True):
+            with pytest.raises(LinAlgError):
+                solve_symmetric(G, rhs, positive_definite=positive_definite)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_non_finite(self, bad):
+        K, rhs = np.eye(3), np.ones(3)
+        for positive_definite in (False, True):
+            K_bad = K.copy()
+            K_bad[1, 2] = K_bad[2, 1] = bad
+            rhs_bad = rhs.copy()
+            rhs_bad[0] = bad
+            with pytest.raises(ValueError):
+                solve_symmetric(K_bad, rhs, positive_definite=positive_definite)
+            with pytest.raises(ValueError):
+                solve_symmetric(K, rhs_bad, positive_definite=positive_definite)
+
+    def test_warns_when_near_singular(self, circ_data):
+        # shifting G's zero c-row leaves one pivot of exactly 1e-30
+        G = saddle_matrix(np.array([], dtype=int), build_design(circ_data))
+        K = G + 1e-30 * np.eye(G.shape[0])
+        for positive_definite in (False, True):
+            with pytest.warns(LinAlgWarning):
+                solve_symmetric(K, np.ones(K.shape[0]), positive_definite=positive_definite)
+
+    def test_identical_active_rows_like_scipy(self, circ_data):
+        # two copies of one margin row: rounding decides between a tiny pivot
+        # (warning) and a zero one (error), and the helper must decide as
+        # scipy.linalg.solve does, never solve silently
+        cache = build_design(circ_data)
+        K = saddle_matrix(np.array([3, 3, 17, 40, 61]), cache, 0.0)
+        rhs = np.concatenate([np.zeros(cache.d), -np.ones(5)])
+        sol, err, warned = _outcome(lambda: solve_symmetric(K, rhs))
+        ref, ref_err, ref_warned = _outcome(lambda: scipy.linalg.solve(K, rhs))
+        assert err is ref_err and warned == ref_warned
+        assert err is not None or warned == 1
+        if sol is not None:
+            np.testing.assert_array_equal(sol, ref)
+
+
+def test_one_route_for_symmetric_solves():
+    """Every linear solve in the library goes through solve_symmetric."""
+    src = Path(__file__).resolve().parent.parent / "src" / "quadsurf"
+    pattern = re.compile(r"(scipy\.linalg|np\.linalg)\.solve\(")
+    offenders = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert offenders == []
