@@ -1,4 +1,4 @@
-"""CSV ingestion, stratified splits, the repeated-trial benchmark, and grid dumps."""
+"""CSV ingestion, stratified splits, method comparison, repeated-trial benchmark, grid dumps."""
 
 import csv
 import json
@@ -8,9 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import METHODS, _fit_method, _stats_row, accuracy
+from . import newton
+from .baseline import accuracy, ls_qssvm_fit
 from .model import Dataset, InputError, SurfaceParams
 from .newton import SolveStatus, SolverConfig
+
+METHODS = ("newton_l01", "ls_qssvm")
 
 
 class Normalize:
@@ -26,7 +29,6 @@ class BenchProtocol:
     trials: int = 50
     seed: int = 0
     normalize: str = Normalize.NONE
-    class_pair: tuple = None
 
     def __post_init__(self):
         if not 0.0 < self.train_rate < 1.0:
@@ -56,7 +58,7 @@ def load_csv(path, class_pair=None) -> Dataset:
     rows = []
     with open(path, newline="") as fh:
         for lineno, rec in enumerate(csv.reader(fh), start=1):
-            rec = [t.strip() for t in rec if True]
+            rec = [t.strip() for t in rec]
             if not rec or (len(rec) == 1 and rec[0] == ""):
                 continue
             if lineno == 1 and any(_parse_float(t) is None for t in rec):
@@ -155,6 +157,69 @@ def apply_normalizer(data: Dataset, shift, scale) -> Dataset:
     return Dataset((data.points - shift) / scale, data.labels)
 
 
+def _fit_method(method: str, train: Dataset, solver_config=None):
+    if method == "ls_qssvm":
+        return ls_qssvm_fit(train), None
+    if method == "newton_l01":
+        # looked up on the module at call time, so a patched or traced solve is used
+        report = newton.solve(train, solver_config or SolverConfig())
+        return report.final.theta, report
+    raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+
+
+def _stats_row(method: str, accs, times, failures: int, trials: int, seed: int) -> dict:
+    accs = np.asarray(accs, dtype=np.float64)
+    return {
+        "method": method,
+        "trials": trials,
+        "seed": seed,
+        "acc_min": float(accs.min()) if accs.size else float("nan"),
+        "acc_max": float(accs.max()) if accs.size else float("nan"),
+        "acc_mean": float(accs.mean()) if accs.size else float("nan"),
+        "acc_var": float(accs.var()) if accs.size else float("nan"),
+        "mean_time_s": float(np.mean(times)) if times else float("nan"),
+        "failures": failures,
+    }
+
+
+def _fit_and_score(splits, methods, solver_config, trials: int, seed: int) -> list:
+    """Fit every method on each (train, test) split; one statistics row per method.
+
+    Fits are timed and scored by test accuracy in percent.  A fit ending in a
+    singular system is left out of the statistics and counted in `failures`.
+    """
+    accs = [[] for _ in methods]
+    times = [[] for _ in methods]
+    failures = [0] * len(methods)
+    for train, test in splits:
+        for i, method in enumerate(methods):
+            t0 = time.perf_counter()
+            theta, report = _fit_method(method, train, solver_config)
+            dt = time.perf_counter() - t0
+            if report is not None and report.status is SolveStatus.SINGULAR_SYSTEM:
+                failures[i] += 1
+                continue
+            accs[i].append(100.0 * accuracy(theta, test))
+            times[i].append(dt)
+    return [_stats_row(method, accs[i], times[i], failures[i], trials, seed)
+            for i, method in enumerate(methods)]
+
+
+def compare(data_train: Dataset, data_test: Dataset, methods=METHODS,
+            trials: int = 1, seed: int = 0, solver_config=None) -> list:
+    """Fit each method `trials` times on one split and tabulate test accuracy and wall time.
+
+    Both methods are deterministic given the split, so accuracy statistics
+    are reproducible bit for bit; timing varies.  Trials that end with a
+    singular system are excluded from the statistics and counted in the
+    `failures` column.
+    """
+    if data_train.n == 0 or data_test.n == 0:
+        raise ValueError("empty train or test split")
+    return _fit_and_score([(data_train, data_test)] * trials, methods, solver_config,
+                          trials, seed)
+
+
 def run_bench(data: Dataset, protocol: BenchProtocol,
               solver_config: SolverConfig = SolverConfig(), methods=METHODS):
     """Repeated-split benchmark: per-method accuracy statistics over trials.
@@ -164,32 +229,18 @@ def run_bench(data: Dataset, protocol: BenchProtocol,
     method, and scores test accuracy as a percentage.  Trials that end in
     a singular system are excluded from the statistics and counted.
     """
-    per_method = {m: {"accs": [], "times": [], "failures": 0} for m in methods}
-    for t in range(protocol.trials):
-        trial_seed = np.random.SeedSequence(entropy=protocol.seed, spawn_key=(t,))
-        train, test = split(data, protocol.train_rate, trial_seed)
-        shift, scale = fit_normalizer(train.points, protocol.normalize)
-        train = apply_normalizer(train, shift, scale)
-        test = apply_normalizer(test, shift, scale)
-        for m in methods:
-            slot = per_method[m]
-            t0 = time.perf_counter()
-            theta, report = _fit_method(m, train, solver_config)
-            dt = time.perf_counter() - t0
-            if report is not None and report.status is SolveStatus.SINGULAR_SYSTEM:
-                slot["failures"] += 1
-                continue
-            slot["accs"].append(100.0 * accuracy(theta, test))
-            slot["times"].append(dt)
+    def trial_splits():
+        for t in range(protocol.trials):
+            trial_seed = np.random.SeedSequence(entropy=protocol.seed, spawn_key=(t,))
+            train, test = split(data, protocol.train_rate, trial_seed)
+            shift, scale = fit_normalizer(train.points, protocol.normalize)
+            yield apply_normalizer(train, shift, scale), apply_normalizer(test, shift, scale)
 
-    rows = []
-    for m in methods:
-        slot = per_method[m]
-        row = _stats_row(m, slot["accs"], slot["times"], slot["failures"],
-                         protocol.trials, protocol.seed)
+    rows = _fit_and_score(trial_splits(), methods, solver_config, protocol.trials,
+                          protocol.seed)
+    for row in rows:
         row["train_rate"] = protocol.train_rate
         row["normalize"] = protocol.normalize
-        rows.append(row)
     return rows
 
 

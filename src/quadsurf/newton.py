@@ -24,6 +24,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import LinAlgError, LinAlgWarning
 
+from .baseline import warm_start_point
 from .model import Dataset, DesignCache, SurfaceParams, build_design, margins
 from .stationarity import (IndexSets, PStatCertificate, ResidualParts, index_sets,
                            pstationary_check, residual, saddle_matrix, solve_symmetric)
@@ -187,7 +188,6 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
 
     if theta0 is None:
         if config.warm_start is WarmStart.LEAST_SQUARES:
-            from .baseline import warm_start_point
             theta, z_start = warm_start_point(data, cache, config.lam, config.alpha)
             if z0 is None:
                 z0 = z_start

@@ -3,10 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadsurf import (Dataset, GenSpec, LsqConfig, Normalize, SolverConfig, SolveStatus,
-                      accuracy, apply_normalizer, build_design, compare, fit_normalizer,
-                      generate, load_csv, ls_qssvm_fit, lsq_objective_gradient, margins,
-                      solve, split, warm_start_point)
+from quadsurf import (BenchProtocol, Dataset, GenSpec, LsqConfig, Normalize, SolverConfig,
+                      SolveStatus, accuracy, apply_normalizer, build_design, compare,
+                      fit_normalizer, generate, load_csv, ls_qssvm_fit, lsq_objective_gradient,
+                      margins, run_bench, solve, split, warm_start_point)
 
 IRIS_CSV = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
 
@@ -123,3 +123,49 @@ class TestCompare:
         rows_to_csv(rows, path)
         assert path.read_text().startswith("method,")
         assert '"ls_qssvm"' in rows_to_json(rows)
+
+    def test_agrees_with_one_trial_run_bench(self):
+        data = load_csv(IRIS_CSV, class_pair=(1, 2))
+        protocol = BenchProtocol(train_rate=0.8, trials=1, seed=9000, normalize="zscore")
+        train, test = split(data, 0.8, np.random.SeedSequence(entropy=9000, spawn_key=(0,)))
+        shift, scale = fit_normalizer(train.points, Normalize.ZSCORE)
+        config = SolverConfig(lam=100.0)
+        rows = compare(apply_normalizer(train, shift, scale), apply_normalizer(test, shift, scale),
+                       trials=1, seed=9000, solver_config=config)
+        bench_rows = run_bench(data, protocol, config)
+        assert [r["method"] for r in rows] == [r["method"] for r in bench_rows]
+        for r, b in zip(rows, bench_rows):
+            for key in ("trials", "seed", "acc_min", "acc_max", "acc_mean", "acc_var",
+                        "failures"):
+                assert r[key] == b[key]
+
+    def test_singular_fits_counted_as_failures(self, circ_data, monkeypatch):
+        import dataclasses
+        import quadsurf.newton as qs_newton
+        train, test = split(circ_data, 0.8, seed=0)
+        clean = {r["method"]: r for r in compare(train, test, trials=1, seed=0)}
+        real_solve = qs_newton.solve
+        calls = []
+
+        def singular_every_other_call(data, config):
+            report = real_solve(data, config)
+            calls.append(1)
+            if len(calls) % 2 == 0:
+                return report
+            return dataclasses.replace(report, status=SolveStatus.SINGULAR_SYSTEM)
+
+        monkeypatch.setattr(qs_newton, "solve", singular_every_other_call)
+        by = {r["method"]: r for r in compare(train, test, trials=3, seed=0)}
+        assert by["newton_l01"]["failures"] == 2
+        assert by["newton_l01"]["trials"] == 3
+        for key in ("acc_min", "acc_max", "acc_mean", "acc_var"):
+            assert by["newton_l01"][key] == clean["newton_l01"][key]
+        assert by["ls_qssvm"]["failures"] == 0
+        assert by["ls_qssvm"]["acc_mean"] == clean["ls_qssvm"]["acc_mean"]
+
+        monkeypatch.setattr(qs_newton, "solve",
+                            lambda data, config: dataclasses.replace(
+                                real_solve(data, config), status=SolveStatus.SINGULAR_SYSTEM))
+        only = compare(train, test, methods=("newton_l01",), trials=2, seed=0)[0]
+        assert only["failures"] == 2
+        assert np.isnan(only["acc_mean"]) and np.isnan(only["mean_time_s"])
