@@ -10,7 +10,9 @@ regularizer ``f(theta) = sum_i 0.5 * ||W x_i + b||^2`` is a homogeneous
 quadratic with constant Hessian ``G``.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +68,11 @@ class SurfaceParams:
     `wtri` holds the m diagonal entries of W followed by the strict upper
     triangle (row-major), so the quadratic form is
     ``0.5 x'Wx = sum_j 0.5*w_jj*x_j^2 + sum_{j<k} w_jk*x_j*x_k``.
+
+    `wtri` and `b` are read-only copies of the arrays passed in, so a
+    surface never changes after construction.  W is assembled from them on
+    first use and cached; `decision_values` is the batch read path and
+    `predict` the 1-row one.
     """
 
     wtri: np.ndarray
@@ -73,16 +80,19 @@ class SurfaceParams:
     c: float
 
     def __post_init__(self):
-        wtri = np.asarray(self.wtri, dtype=np.float64).ravel()
-        b = np.asarray(self.b, dtype=np.float64).ravel()
+        wtri = np.array(self.wtri, dtype=np.float64).ravel()
+        b = np.array(self.b, dtype=np.float64).ravel()
+        c = float(self.c)
         m = b.shape[0]
         if wtri.shape[0] != tri_dim(m):
             raise InputError(f"wtri has length {wtri.shape[0]}, expected {tri_dim(m)} for m={m}")
-        if not (np.all(np.isfinite(wtri)) and np.all(np.isfinite(b)) and np.isfinite(self.c)):
+        if not (np.isfinite(wtri).all() and np.isfinite(b).all() and math.isfinite(c)):
             raise InputError("non-finite surface parameters")
+        wtri.setflags(write=False)
+        b.setflags(write=False)
         object.__setattr__(self, "wtri", wtri)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", c)
 
     @property
     def m(self) -> int:
@@ -107,24 +117,36 @@ class SurfaceParams:
     def zeros(m: int) -> "SurfaceParams":
         return SurfaceParams(np.zeros(tri_dim(m)), np.zeros(m), 0.0)
 
-    def matrix(self) -> np.ndarray:
-        """Assemble the full symmetric W from the packed wtri."""
+    @cached_property
+    def _W(self) -> np.ndarray:
+        """The full symmetric W assembled from the packed wtri (read-only)."""
         m = self.m
         W = np.zeros((m, m))
         W[np.diag_indices(m)] = self.wtri[:m]
         iu, ju = np.triu_indices(m, k=1)
         W[iu, ju] = self.wtri[m:]
         W[ju, iu] = self.wtri[m:]
+        W.setflags(write=False)
         return W
+
+    @cached_property
+    def _half_W(self) -> np.ndarray:
+        return 0.5 * self._W
+
+    def matrix(self) -> np.ndarray:
+        """The full symmetric W, as a fresh array the caller may modify."""
+        return self._W.copy()
 
     def decision_values(self, points: np.ndarray) -> np.ndarray:
         """h(x) = 0.5 x'Wx + b'x + c for each row x of `points`."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if pts.shape[1] != self.m:
             raise InputError(f"points have {pts.shape[1]} features, surface expects {self.m}")
-        W = self.matrix()
-        quad = 0.5 * np.einsum("ij,ij->i", pts @ W, pts)
-        return quad + pts @ self.b + self.c
+        quad = 0.5 * np.einsum("ij,ij->i", pts @ self._W, pts)
+        h = quad + pts @ self.b + self.c
+        if not np.isfinite(h).all():
+            raise InputError("non-finite decision value (non-finite query point or overflow)")
+        return h
 
 
 def _packed_features(pts: np.ndarray) -> np.ndarray:
@@ -242,7 +264,10 @@ def predict(theta: SurfaceParams, x: np.ndarray) -> int:
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.shape[0] != theta.m:
         raise InputError(f"point has {x.shape[0]} features, surface expects {theta.m}")
-    return 1 if theta.decision_values(x[None, :])[0] >= 0.0 else -1
+    h = x.dot(theta._half_W.dot(x) + theta.b) + theta.c
+    if not math.isfinite(h):
+        raise InputError("non-finite decision value (non-finite query point or overflow)")
+    return 1 if h >= 0.0 else -1
 
 
 def predict_many(theta: SurfaceParams, points: np.ndarray) -> np.ndarray:

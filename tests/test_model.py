@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from quadsurf import (Dataset, InputError, SurfaceParams, build_design, margins,
+from quadsurf import (Dataset, InputError, SurfaceParams, build_design, margins, param_dim,
                       predict, predict_many, smooth_gradient, smooth_value, total_loss)
 
 from conftest import random_dataset
@@ -194,6 +196,12 @@ class TestPredict:
         assert predict(self.theta, [0.0, np.sqrt(2.0)]) in (-1, 1)
         theta = SurfaceParams(np.array([2.0, 2.0, 0.0]), np.zeros(2), -1.0)
         assert predict(theta, [1.0, 0.0]) == 1  # h = 0 exactly
+        pts = np.array([[1.0, 0.0], [0.0, -1.0]])  # h = 0 exactly on both rows
+        np.testing.assert_array_equal(theta.decision_values(pts), [0.0, 0.0])
+        np.testing.assert_array_equal(predict_many(theta, pts), [1.0, 1.0])
+        zero = SurfaceParams.zeros(2)
+        assert predict(zero, [3.0, -4.0]) == 1
+        np.testing.assert_array_equal(predict_many(zero, [[3.0, -4.0]]), [1.0])
 
     def test_misclassified_implies_margin_violation(self, rng, small_cache, small_data):
         for _ in range(20):
@@ -205,3 +213,100 @@ class TestPredict:
             assert np.all(F[wrong] > 0)
             lv = total_loss(theta, small_cache, lam=1.0)
             assert wrong.sum() <= lv.count
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 12])
+    def test_row_path_agrees_with_batch_path(self, rng, m):
+        def packed_h(theta, x):
+            # independent of W: 0.5*x_j^2 on the diagonal slots, x_j*x_k off it
+            h = theta.c + sum(0.5 * theta.wtri[j] * x[j] ** 2 + theta.b[j] * x[j]
+                              for j in range(m))
+            for slot, (j, k) in enumerate(combinations(range(m), 2)):
+                h += theta.wtri[m + slot] * x[j] * x[k]
+            return h
+
+        decisive = 0
+        for _ in range(10):
+            theta = SurfaceParams.from_vector(rng.normal(size=param_dim(m)), m)
+            X = rng.normal(scale=2.0, size=(20, m))
+            ref = np.array([packed_h(theta, x) for x in X])
+            for x, h in zip(X, ref):
+                if abs(h) <= 1e-9 * (1.0 + np.abs(ref).max()):
+                    continue
+                decisive += 1
+                label = 1 if h >= 0.0 else -1
+                assert predict(theta, x) == label
+                assert predict_many(theta, x[None])[0] == label
+        assert decisive >= 190
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 12])
+    def test_wrong_length_row(self, rng, m):
+        theta = SurfaceParams.from_vector(rng.normal(size=param_dim(m)), m)
+        for n in (m - 1, m + 1):
+            with pytest.raises(InputError):
+                predict(theta, np.ones(n))
+            with pytest.raises(InputError):
+                predict_many(theta, np.ones((3, n)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("coord", [0, 1])
+    def test_nonfinite_point_raises(self, bad, coord):
+        # h would be +inf for (inf, 0) on the unit circle, but inf*0 = nan
+        # inside the product; on the all-zero surface h is nan everywhere
+        for theta in (self.theta, SurfaceParams.zeros(2)):
+            x = np.zeros(2)
+            x[coord] = bad
+            with pytest.raises(InputError):
+                predict(theta, x)
+            with pytest.raises(InputError):
+                predict_many(theta, x[None])
+            with pytest.raises(InputError):
+                predict_many(theta, np.vstack([np.ones(2), x, np.ones(2)]))
+            with pytest.raises(InputError):
+                theta.decision_values(x[None])
+
+
+class TestSurfaceImmutable:
+    def setup_method(self):
+        self.pts = np.array([[2.0, 0.0], [0.0, 0.0], [1.0, -1.5]])
+
+    def test_fields_are_read_only(self):
+        theta = SurfaceParams(np.array([1.0, 1.0, 0.0]), np.zeros(2), -1.0)
+        with pytest.raises(ValueError):
+            theta.wtri[0] = 5.0
+        with pytest.raises(ValueError):
+            theta.b[1] += 1.0
+        np.testing.assert_array_equal(theta.wtri, [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(theta.b, [0.0, 0.0])
+
+    @pytest.mark.parametrize("evaluate_first", [False, True])
+    def test_constructor_arrays_are_copied(self, evaluate_first):
+        wtri, b = np.array([1.0, 1.0, 0.0]), np.zeros(2)
+        theta = SurfaceParams(wtri, b, -1.0)
+        if evaluate_first:  # build the cached W before the caller's write
+            theta.decision_values(self.pts)
+        wtri[:] = -7.0
+        b[:] = 3.0
+        np.testing.assert_array_equal(theta.decision_values(self.pts), [1.0, -1.0, 0.625])
+        assert [predict(theta, x) for x in self.pts] == [1, -1, 1]
+
+    @pytest.mark.parametrize("evaluate_first", [False, True])
+    def test_from_vector_copies(self, evaluate_first):
+        v = np.array([1.0, 1.0, 0.0, 0.0, 0.0, -1.0])
+        theta = SurfaceParams.from_vector(v, 2)
+        if evaluate_first:
+            predict(theta, self.pts[0])
+        v[:] = 9.0
+        np.testing.assert_array_equal(theta.to_vector(), [1.0, 1.0, 0.0, 0.0, 0.0, -1.0])
+        np.testing.assert_array_equal(theta.decision_values(self.pts), [1.0, -1.0, 0.625])
+        assert [predict(theta, x) for x in self.pts] == [1, -1, 1]
+
+    def test_matrix_returns_a_fresh_copy(self):
+        theta = SurfaceParams(np.array([1.0, 2.0, 0.5]), np.zeros(2), -1.0)
+        W = theta.matrix()
+        np.testing.assert_array_equal(W, [[1.0, 0.5], [0.5, 2.0]])
+        before = theta.decision_values(self.pts)
+        W[:] = 100.0
+        np.testing.assert_array_equal(theta.matrix(), [[1.0, 0.5], [0.5, 2.0]])
+        np.testing.assert_array_equal(theta.decision_values(self.pts), before)
+        assert [predict(theta, x) for x in self.pts] == [1, -1, 1]
