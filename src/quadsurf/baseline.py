@@ -7,6 +7,7 @@ so the fit is a single symmetric positive-definite solve.  `warm_start_point`
 refines that fit into the starting pair (theta0, z0) of the Newton solver.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,15 @@ def accuracy(theta: SurfaceParams, data: Dataset) -> float:
 
 
 def _hinge_sq_value(th, A, G, mu):
+    """(value, F, G th) of the squared-hinge objective at th, with F = 1 + A th.
+
+    The margins and the product G th come back with the value, so the
+    Newton pass that starts from an accepted trial point reuses them.
+    """
     F = 1.0 + A @ th
     Fp = np.maximum(F, 0.0)
-    return 0.5 * th @ (G @ th) + 0.5 * mu * (Fp @ Fp)
+    Gth = G @ th
+    return 0.5 * th @ Gth + 0.5 * mu * (Fp @ Fp), F, Gth
 
 
 def _hinge_sq_minimize(th, A, G, mu, passes=80):
@@ -79,35 +86,36 @@ def _hinge_sq_minimize(th, A, G, mu, passes=80):
 
     The objective 0.5 th'G th + (mu/2) ||max(F, 0)||^2 is convex and C^1 with
     piecewise-linear gradient, so damped Newton converges globally and the
-    active set settles in finitely many passes.
+    active set settles in finitely many passes.  Returns the minimizer and
+    its margins F = 1 + A th.
     """
     ridge = 1e-9 * (1.0 + mu) * np.eye(G.shape[0])
-    val = _hinge_sq_value(th, A, G, mu)
+    val, F, Gth = _hinge_sq_value(th, A, G, mu)
     for _ in range(passes):
-        F = 1.0 + A @ th
         act = F > 0.0
         Aact = A[act]
-        g = G @ th + mu * (Aact.T @ F[act])
-        gnorm = np.linalg.norm(g)
-        if gnorm <= 1e-12 * (1.0 + mu):
+        g = Gth + mu * (Aact.T @ F[act])
+        if math.sqrt(g @ g) <= 1e-12 * (1.0 + mu):
             break
-        H = G + mu * (Aact.T @ Aact) + ridge
+        H = Aact.T @ Aact
+        H *= mu
+        H += G
+        H += ridge
         step = solve_symmetric(H, -g, positive_definite=True)
         slope = g @ step  # negative by construction
         t = 1.0
         while True:
             th_new = th + t * step
-            new_val = _hinge_sq_value(th_new, A, G, mu)
+            new_val, F_new, Gth_new = _hinge_sq_value(th_new, A, G, mu)
             # past the last trial step (2**-30) the step 2**-31 is taken as is
             if new_val <= val + 1e-4 * t * slope or t < 2.0**-30:
                 break
             t *= 0.5
-        th = th_new
+        th, F, Gth = th_new, F_new, Gth_new
         if val - new_val <= 1e-14 * (1.0 + abs(val)):
-            val = new_val
             break
         val = new_val
-    return th
+    return th, F
 
 
 def warm_start_point(data: Dataset, cache: DesignCache, lam: float, alpha: float,
@@ -135,8 +143,7 @@ def warm_start_point(data: Dataset, cache: DesignCache, lam: float, alpha: float
     mu = 1e2
     fmax_prev = None
     while True:
-        th = _hinge_sq_minimize(th, A, G, mu)
-        F = 1.0 + A @ th
+        th, F = _hinge_sq_minimize(th, A, G, mu)
         fmax = float(np.maximum(F, 0.0).max())
         if fmax <= tau / 4.0 or mu >= 1e8:
             break

@@ -12,7 +12,7 @@ quadratic with constant Hessian ``G``.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,6 +29,30 @@ def tri_dim(m: int) -> int:
 def param_dim(m: int) -> int:
     """Total dimension d of theta = (wtri, b, c) for m features."""
     return tri_dim(m) + m + 1
+
+
+@lru_cache(maxsize=64)
+def _pairs(m: int):
+    """Index patterns of the packed wtri for m features, built once per m.
+
+    Returns ``(iu, ju, rows, cols, src)``, all read-only.  ``(iu, ju)`` is
+    the strict upper triangle in row-major order, the pairs behind slots
+    m..p-1 of wtri.  ``(rows, cols, src)`` is the scatter of the per-sample
+    maps: ``M_i[rows, cols] = x_i[src]``, i.e. diagonal slot j feeds row j
+    with x_j and the slot of pair (j, k) feeds row j with x_k and row k
+    with x_j.  Since ``M_i @ wtri = W x_i``, the same scatter assembles W
+    as ``W[rows, src] = wtri[cols]``.
+    """
+    iu, ju = np.triu_indices(m, k=1)
+    diag = np.arange(m)
+    pair = m + np.arange(iu.size)
+    rows = np.concatenate([diag, iu, ju])
+    cols = np.concatenate([diag, pair, pair])
+    src = np.concatenate([diag, ju, iu])
+    out = (iu, ju, rows, cols, src)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,11 +145,9 @@ class SurfaceParams:
     def _W(self) -> np.ndarray:
         """The full symmetric W assembled from the packed wtri (read-only)."""
         m = self.m
+        _, _, rows, cols, src = _pairs(m)
         W = np.zeros((m, m))
-        W[np.diag_indices(m)] = self.wtri[:m]
-        iu, ju = np.triu_indices(m, k=1)
-        W[iu, ju] = self.wtri[m:]
-        W[ju, iu] = self.wtri[m:]
+        W[rows, src] = self.wtri[cols]
         W.setflags(write=False)
         return W
 
@@ -142,8 +164,10 @@ class SurfaceParams:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if pts.shape[1] != self.m:
             raise InputError(f"points have {pts.shape[1]} features, surface expects {self.m}")
-        quad = 0.5 * np.einsum("ij,ij->i", pts @ self._W, pts)
-        h = quad + pts @ self.b + self.c
+        # a non-finite row would warn inside the products; it is refused below
+        with np.errstate(invalid="ignore", over="ignore"):
+            quad = 0.5 * np.einsum("ij,ij->i", pts @ self._W, pts)
+            h = quad + pts @ self.b + self.c
         if not np.isfinite(h).all():
             raise InputError("non-finite decision value (non-finite query point or overflow)")
         return h
@@ -152,7 +176,7 @@ class SurfaceParams:
 def _packed_features(pts: np.ndarray) -> np.ndarray:
     """Rows s(x) with 0.5*x_j^2 in the diagonal slots and x_j*x_k off-diagonal."""
     n, m = pts.shape
-    iu, ju = np.triu_indices(m, k=1)
+    iu, ju = _pairs(m)[:2]
     s = np.empty((n, tri_dim(m)))
     s[:, :m] = 0.5 * pts**2
     s[:, m:] = pts[:, iu] * pts[:, ju]
@@ -160,16 +184,16 @@ def _packed_features(pts: np.ndarray) -> np.ndarray:
 
 
 def _per_sample_maps(pts: np.ndarray) -> np.ndarray:
-    """Stack of the linear maps M_i with M_i @ wtri = W x_i, shape (n, m, p)."""
+    """Stack of the linear maps M_i with M_i @ wtri = W x_i, shape (n, m, p).
+
+    Every M_i has the same sparsity pattern, so the whole stack is filled by
+    one scatter of the feature columns (see `_pairs`); all other entries
+    are zero.
+    """
     n, m = pts.shape
-    p = tri_dim(m)
-    M = np.zeros((n, m, p))
-    rows = np.arange(m)
-    M[:, rows, rows] = pts  # diagonal slot j feeds row j with x_j
-    iu, ju = np.triu_indices(m, k=1)
-    for col, (j, k) in enumerate(zip(iu, ju)):
-        M[:, j, m + col] = pts[:, k]
-        M[:, k, m + col] = pts[:, j]
+    _, _, rows, cols, src = _pairs(m)
+    M = np.zeros((n, m, tri_dim(m)))
+    M[:, rows, cols] = pts[:, src]
     return M
 
 
@@ -261,9 +285,17 @@ def total_loss(theta: SurfaceParams, cache: DesignCache, lam: float) -> LossValu
 
 def predict(theta: SurfaceParams, x: np.ndarray) -> int:
     """Label a single point: +1 when h(x) >= 0, else -1 (ties go to +1)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != theta.m:
+    # A call takes a few µs, so each numpy call counts: a 1-d row skips the
+    # ravel.  A non-finite entry would warn inside the products below
+    # (inf * 0), so it is refused first, by a scan of the row as a list,
+    # which costs less than np.isfinite or np.errstate.
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        x = x.ravel()
+    if x.shape != theta.b.shape:
         raise InputError(f"point has {x.shape[0]} features, surface expects {theta.m}")
+    if not all(map(math.isfinite, x.tolist())):
+        raise InputError("non-finite query point")
     h = x.dot(theta._half_W.dot(x) + theta.b) + theta.c
     if not math.isfinite(h):
         raise InputError("non-finite decision value (non-finite query point or overflow)")

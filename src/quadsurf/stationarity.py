@@ -28,6 +28,8 @@ from .prox import ProxParams, prox_contains
 # never hit {0, threshold} exactly.
 _SET_BAND = 1e-12
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True)
 class IndexSets:
@@ -236,7 +238,7 @@ def assumption_rank_check(working: np.ndarray, cache: DesignCache):
         return True, 0
     A = cache.a[working]
     sv = np.linalg.svd(A, compute_uv=False)
-    cutoff = max(A.shape) * np.finfo(np.float64).eps * (sv[0] if sv.size else 0.0)
+    cutoff = max(A.shape) * _EPS * (sv[0] if sv.size else 0.0)
     rank = int(np.count_nonzero(sv > cutoff))
     return rank == working.size, rank
 
@@ -271,10 +273,16 @@ def solve_symmetric(K: np.ndarray, rhs: np.ndarray, positive_definite: bool = Fa
     non-finite input raises ValueError, a failed factorisation raises
     LinAlgError, and a reciprocal condition estimate below machine epsilon
     emits LinAlgWarning.
+
+    The 1-norm for that estimate comes from one dlange call on K.T, a
+    Fortran-ordered view, so nothing is copied; for symmetric K its bits
+    equal the largest column sum of |K|.  A finite norm proves K finite,
+    so the full finiteness scan of K runs only when the norm is not finite
+    (a NaN or inf in K, or a finite K whose column sums overflow).
     """
-    if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
+    anorm = lapack.dlange("1", K.T)
+    if not (math.isfinite(anorm) or np.isfinite(K).all()) or not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
-    anorm = float(np.abs(K).sum(axis=0).max())
     if positive_definite:
         fac, x, info = lapack.dposv(K, rhs)
         if info != 0:
@@ -288,7 +296,7 @@ def solve_symmetric(K: np.ndarray, rhs: np.ndarray, positive_definite: bool = Fa
         if info != 0:
             raise LinAlgError(f"dsytrs info={info}")
         rcond, _ = lapack.dsycon(fac, ipiv, anorm)
-    if rcond < np.finfo(np.float64).eps:
+    if rcond < _EPS:
         warnings.warn(f"ill-conditioned symmetric system (rcond={rcond:.3e})",
                       LinAlgWarning, stacklevel=2)
     return x
@@ -327,5 +335,5 @@ def second_order_check(working: np.ndarray, cache: DesignCache, gamma: float = 0
         lo, hi = float(sv[-1]), float(sv[0])
         sigma_min = min(sigma_min, lo)
         sigma_max = max(sigma_max, hi)
-        nonsingular = nonsingular and bool(lo > cache.d * np.finfo(np.float64).eps * hi)
+        nonsingular = nonsingular and bool(lo > cache.d * _EPS * hi)
     return SecondOrderReport(sigma_min=sigma_min, sigma_max=sigma_max, nonsingular=nonsingular)

@@ -7,8 +7,50 @@ from quadsurf import (BenchProtocol, Dataset, GenSpec, LsqConfig, Normalize, Sol
                       SolveStatus, accuracy, apply_normalizer, build_design, compare,
                       fit_normalizer, generate, load_csv, ls_qssvm_fit, lsq_objective_gradient,
                       margins, run_bench, solve, split, warm_start_point)
+from quadsurf.baseline import _hinge_sq_minimize
+from quadsurf.stationarity import solve_symmetric
 
 IRIS_CSV = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
+
+
+def reference_hinge_value(th, A, G, mu):
+    F = 1.0 + A @ th
+    Fp = np.maximum(F, 0.0)
+    return 0.5 * th @ (G @ th) + 0.5 * mu * (Fp @ Fp)
+
+
+def reference_hinge_minimize(th, A, G, mu, passes=80):
+    """The squared-hinge Newton loop recomputing margins, G th and H every pass."""
+    ridge = 1e-9 * (1.0 + mu) * np.eye(G.shape[0])
+    val = reference_hinge_value(th, A, G, mu)
+    for _ in range(passes):
+        F = 1.0 + A @ th
+        act = F > 0.0
+        Aact = A[act]
+        g = G @ th + mu * (Aact.T @ F[act])
+        if np.linalg.norm(g) <= 1e-12 * (1.0 + mu):
+            break
+        H = G + mu * (Aact.T @ Aact) + ridge
+        step = solve_symmetric(H, -g, positive_definite=True)
+        slope = g @ step
+        t = 1.0
+        while True:
+            th_new = th + t * step
+            new_val = reference_hinge_value(th_new, A, G, mu)
+            if new_val <= val + 1e-4 * t * slope or t < 2.0**-30:
+                break
+            t *= 0.5
+        th = th_new
+        if val - new_val <= 1e-14 * (1.0 + abs(val)):
+            break
+        val = new_val
+    return th
+
+
+def iris_train(seed, trial):
+    data = load_csv(IRIS_CSV, class_pair=(1, 2))
+    train, _ = split(data, 0.8, np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    return apply_normalizer(train, *fit_normalizer(train.points, Normalize.ZSCORE))
 
 
 class TestLsqFit:
@@ -70,9 +112,7 @@ class TestWarmStart:
         # saddle solves are near-singular.  The fit must still certify a point
         # that prices only a few margins; falling back to the penalty duals
         # instead ends near theta = 0 with every margin violated.
-        data = load_csv(IRIS_CSV, class_pair=(1, 2))
-        train, _ = split(data, 0.8, np.random.SeedSequence(entropy=9000, spawn_key=(87,)))
-        train = apply_normalizer(train, *fit_normalizer(train.points, Normalize.ZSCORE))
+        train = iris_train(9000, 87)
         rows = np.column_stack([train.points, train.labels])
         assert np.unique(rows, axis=0).shape[0] == train.n - 1
 
@@ -81,6 +121,19 @@ class TestWarmStart:
         assert report.certificate.passed
         violations = np.count_nonzero(margins(report.final.theta, build_design(train)) > 0.0)
         assert violations <= train.n // 4
+
+
+class TestHingeLoop:
+    @pytest.mark.parametrize("mu", [1e2, 1e4, 1e6, 1e8])
+    def test_matches_reference_loop_bit_for_bit(self, circ_data, mu):
+        sets = [iris_train(77, t) for t in range(3)] + [iris_train(9000, 87), circ_data]
+        for data in sets:
+            cache = build_design(data)
+            th0 = ls_qssvm_fit(data, LsqConfig(c_penalty=100.0), cache=cache).to_vector()
+            expect = reference_hinge_minimize(th0, cache.a, cache.G, mu)
+            th, F = _hinge_sq_minimize(th0, cache.a, cache.G, mu)
+            np.testing.assert_array_equal(th, expect)
+            np.testing.assert_array_equal(F, 1.0 + cache.a @ expect)
 
 
 class TestCompare:

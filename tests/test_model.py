@@ -5,6 +5,7 @@ import pytest
 
 from quadsurf import (Dataset, InputError, SurfaceParams, build_design, margins, param_dim,
                       predict, predict_many, smooth_gradient, smooth_value, total_loss)
+from quadsurf.model import _packed_features, _pairs, _per_sample_maps
 
 from conftest import random_dataset
 
@@ -17,6 +18,38 @@ def fd_gradient(fun, x, h=1e-5):
         e[j] = h
         g[j] = (fun(x + e) - fun(x - e)) / (2 * h)
     return g
+
+
+def reference_maps(pts):
+    """Per-sample maps M_i filled one upper-triangle pair at a time."""
+    n, m = pts.shape
+    M = np.zeros((n, m, m * (m + 1) // 2))
+    rows = np.arange(m)
+    M[:, rows, rows] = pts
+    iu, ju = np.triu_indices(m, k=1)
+    for col, (j, k) in enumerate(zip(iu, ju)):
+        M[:, j, m + col] = pts[:, k]
+        M[:, k, m + col] = pts[:, j]
+    return M
+
+
+def reference_packed(pts):
+    m = pts.shape[1]
+    iu, ju = np.triu_indices(m, k=1)
+    return np.hstack([0.5 * pts**2, pts[:, iu] * pts[:, ju]])
+
+
+def reference_hessian(M):
+    """G = sum_i J_i' J_i with J_i = [M_i, I_m, 0], summed as build_design sums it."""
+    n, m, p = M.shape
+    d = p + m + 1
+    G = np.zeros((d, d))
+    G[:p, :p] = np.einsum("irj,irk->jk", M, M)
+    Msum = M.sum(axis=0)
+    G[:p, p:p + m] = Msum.T
+    G[p:p + m, :p] = Msum
+    G[p:p + m, p:p + m] = n * np.eye(m)
+    return 0.5 * (G + G.T)
 
 
 def fd_hessian(fun, x, h=1e-5):
@@ -82,6 +115,25 @@ class TestBuildDesign:
         np.testing.assert_array_equal(c1.a, c2.a)
         np.testing.assert_array_equal(c1.G, c2.G)
         np.testing.assert_array_equal(c1.M, c2.M)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 12])
+    def test_builders_match_pair_loop(self, rng, m):
+        # m = 1 has an empty strict upper triangle
+        data = random_dataset(rng, 9, m)
+        pts = data.points
+        cache = build_design(data)
+        M_ref = reference_maps(pts)
+        np.testing.assert_array_equal(_per_sample_maps(pts), M_ref)
+        np.testing.assert_array_equal(cache.M, M_ref)
+        np.testing.assert_array_equal(_packed_features(pts), reference_packed(pts))
+        np.testing.assert_array_equal(cache.G, reference_hessian(M_ref))
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_pairs_read_only(self, m):
+        for arr in _pairs(m):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
 
 class TestMargins:
@@ -247,12 +299,22 @@ class TestPredict:
             with pytest.raises(InputError):
                 predict_many(theta, np.ones((3, n)))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_row_with_overflowing_sum_is_answered(self):
+        # huge but finite entries pass the non-finite row check, and on
+        # this surface h = c is finite
+        theta = SurfaceParams(np.zeros(3), np.zeros(2), 0.1)
+        x = np.array([1e308, 1e308])
+        assert predict(theta, x) == 1
+        assert predict_many(theta, x[None])[0] == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("coord", [0, 1])
     def test_nonfinite_point_raises(self, bad, coord):
         # h would be +inf for (inf, 0) on the unit circle, but inf*0 = nan
-        # inside the product; on the all-zero surface h is nan everywhere
+        # inside the product; on the all-zero surface h is nan everywhere.
+        # The refusal is the InputError alone: any RuntimeWarning fails.
         for theta in (self.theta, SurfaceParams.zeros(2)):
             x = np.zeros(2)
             x[coord] = bad

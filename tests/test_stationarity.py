@@ -370,6 +370,20 @@ class TestSolveSymmetric:
             with pytest.raises(ValueError):
                 solve_symmetric(K, rhs_bad, positive_definite=positive_definite)
 
+    def test_finite_matrix_with_overflowing_norm_like_scipy(self):
+        # every entry is finite but the column sums overflow: the infinite
+        # 1-norm must not be taken for a non-finite K
+        K = np.array([[1e308, 9e307], [9e307, 1e308]])
+        rhs = np.ones(2)
+        for positive_definite, assume_a in ((True, "pos"), (False, "sym")):
+            sol, err, warned = _outcome(
+                lambda: solve_symmetric(K, rhs, positive_definite=positive_definite))
+            ref, ref_err, ref_warned = _outcome(
+                lambda: scipy.linalg.solve(K, rhs, assume_a=assume_a))
+            assert err is ref_err is None
+            assert warned == ref_warned
+            np.testing.assert_array_equal(sol, ref)
+
     def test_warns_when_near_singular(self, circ_data):
         # shifting G's zero c-row leaves one pivot of exactly 1e-30
         G = saddle_matrix(np.array([], dtype=int), build_design(circ_data))
