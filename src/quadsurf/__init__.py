@@ -16,7 +16,7 @@ from .stationarity import (IndexSets, MultiplierRecovery, PStatCertificate, Resi
                            saddle_matrix, second_order_check)
 from .newton import (RateProbe, SingularSystemError, SolveReport, SolveStatus, SolverConfig,
                      SolverState, WarmStart, gamma_update, newton_direction, rate_probe, solve)
-from .baseline import LsqConfig, accuracy, ls_qssvm_fit, lsq_objective_gradient, warm_start_point
+from .baseline import accuracy, ls_qssvm_fit, lsq_objective_gradient, warm_start_point
 from .datagen import GenSpec, Kind, generate, generating_surface
 from .bench import (BenchProtocol, Normalize, apply_normalizer, boundary_grid, compare,
                     fit_normalizer, grid_to_csv, load_csv, rows_to_csv, rows_to_json, run_bench,

@@ -1,6 +1,6 @@
 """Closed-form least-squares quadratic surface fit and the Newton warm start built on it.
 
-Minimizes ``sum_i ||W x_i + b||^2 + (C/2) sum_i (h(x_i) - y_i)^2 + ridge ||theta||^2``,
+Minimizes ``sum_i ||W x_i + b||^2 + (C/2) sum_i (h(x_i) - y_i)^2 + 1e-10 ||theta||^2``,
 the equality-constrained least-squares surface model with its residual
 variables eliminated.  The objective is an unconstrained convex quadratic,
 so the fit is a single symmetric positive-definite solve.  `warm_start_point`
@@ -8,7 +8,6 @@ refines that fit into the starting pair (theta0, z0) of the Newton solver.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -16,37 +15,30 @@ from scipy.linalg import LinAlgError
 from .model import (Dataset, DesignCache, SurfaceParams, build_design, predict_many)
 from .stationarity import saddle_matrix, solve_symmetric
 
-
-@dataclass(frozen=True)
-class LsqConfig:
-    c_penalty: float = 1.0
-    ridge: float = 1e-10
-
-    def __post_init__(self):
-        if not self.c_penalty > 0:
-            raise ValueError(f"c_penalty must be positive, got {self.c_penalty}")
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be nonnegative, got {self.ridge}")
+RIDGE = 1e-10
 
 
-def _lsq_system(data: Dataset, cfg: LsqConfig, cache: DesignCache):
-    # h(x_i) = q_i . theta with q_i = -a_i / y_i = (s(x_i); x_i; 1)
-    Q = cache.a / (-data.labels[:, None])
-    H = 2.0 * cache.G + cfg.c_penalty * (Q.T @ Q) + 2.0 * cfg.ridge * np.eye(cache.d)
-    rhs = cfg.c_penalty * (Q.T @ data.labels)
+def _lsq_system(cache: DesignCache, c_penalty: float):
+    if not c_penalty > 0:
+        raise ValueError(f"c_penalty must be positive, got {c_penalty}")
+    # h(x_i) = -y_i a_i . theta, so (h(x_i) - y_i)^2 = (a_i . theta + 1)^2: the
+    # normal equations need only the rows a_i, with A'A and right-hand side -A'1
+    A = cache.a
+    H = 2.0 * cache.G + c_penalty * (A.T @ A) + 2.0 * RIDGE * np.eye(cache.d)
+    rhs = c_penalty * (A.T @ -np.ones(cache.n))
     return H, rhs
 
 
-def ls_qssvm_fit(data: Dataset, cfg: LsqConfig = LsqConfig(),
+def ls_qssvm_fit(data: Dataset, c_penalty: float = 1.0,
                  cache: DesignCache = None) -> SurfaceParams:
     """Exact minimizer of the regularized least-squares surface objective.
 
-    A singular normal matrix (possible only with ridge = 0 on degenerate
-    data) is retried once with ridge = 1e-8.
+    `c_penalty` is the weight C > 0 of the squared label errors.  A normal
+    matrix that Cholesky rejects is retried once with 1e-8 on its diagonal.
     """
     if cache is None:
         cache = build_design(data)
-    H, rhs = _lsq_system(data, cfg, cache)
+    H, rhs = _lsq_system(cache, c_penalty)
     try:
         theta = solve_symmetric(H, rhs, positive_definite=True)
     except LinAlgError:
@@ -55,12 +47,10 @@ def ls_qssvm_fit(data: Dataset, cfg: LsqConfig = LsqConfig(),
     return SurfaceParams.from_vector(theta, cache.m)
 
 
-def lsq_objective_gradient(theta: SurfaceParams, data: Dataset, cfg: LsqConfig,
-                           cache: DesignCache = None) -> np.ndarray:
+def lsq_objective_gradient(theta: SurfaceParams, data: Dataset,
+                           c_penalty: float = 1.0) -> np.ndarray:
     """Gradient of the least-squares objective, for optimality verification."""
-    if cache is None:
-        cache = build_design(data)
-    H, rhs = _lsq_system(data, cfg, cache)
+    H, rhs = _lsq_system(build_design(data), c_penalty)
     return H @ theta.to_vector() - rhs
 
 
@@ -134,7 +124,7 @@ def warm_start_point(data: Dataset, cache: DesignCache, lam: float, alpha: float
     first iteration prices them out anyway.
     """
     A, G = cache.a, cache.G
-    th = ls_qssvm_fit(data, LsqConfig(c_penalty=100.0), cache=cache).to_vector()
+    th = ls_qssvm_fit(data, 100.0, cache=cache).to_vector()
     yh = 1.0 - (1.0 + A @ th)  # y_i h(x_i) = 1 - F_i
     if yh.min() > 1e-6:
         th = th / yh.min()
@@ -154,6 +144,12 @@ def warm_start_point(data: Dataset, cache: DesignCache, lam: float, alpha: float
 
     if polish:
         active0 = np.flatnonzero((F > 0.0) & (F < tau))
+        # Twin samples share a row of A and make the polish's A_act rank-deficient: keep
+        # the first (the other keeps F = 0, z = 0).  Rows are compared only when two
+        # margins agree to 1e-12 relative, as BLAS may round twins' F differently.
+        f = np.sort(F[active0])
+        if np.any(f[1:] - f[:-1] <= 1e-12 * f[1:]):
+            active0 = active0[np.sort(np.unique(A[active0], axis=0, return_index=True)[1])]
         polished = _active_set_polish(th, active0, cache, tau, alpha)
         if polished is not None:
             return polished

@@ -102,12 +102,11 @@ def load_csv(path, class_pair=None) -> Dataset:
     return Dataset(points=feats, labels=labels)
 
 
-def save_csv(path, data: Dataset, header: bool = True):
-    """Write a Dataset in the format `load_csv` reads back."""
+def save_csv(path, data: Dataset):
+    """Write a Dataset, after a header row x1..xm,label, as `load_csv` reads it back."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if header:
-            w.writerow([f"x{j + 1}" for j in range(data.m)] + ["label"])
+        w.writerow([f"x{j + 1}" for j in range(data.m)] + ["label"])
         for row, lbl in zip(data.points, data.labels):
             w.writerow([repr(float(v)) for v in row] + [int(lbl)])
 

@@ -11,7 +11,7 @@ quadratic with constant Hessian ``G``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -209,9 +209,10 @@ class DesignCache:
     a: np.ndarray
     M: np.ndarray
     G: np.ndarray
-    m: int = field(default=0)
-    n: int = field(default=0)
-    d: int = field(default=0)
+
+    n = property(lambda self: self.a.shape[0])
+    m = property(lambda self: self.M.shape[1])
+    d = property(lambda self: self.a.shape[1])
 
 
 def build_design(data: Dataset) -> DesignCache:
@@ -239,7 +240,7 @@ def build_design(data: Dataset) -> DesignCache:
     G[p:p + m, p:p + m] = n * np.eye(m)
     G = 0.5 * (G + G.T)  # exact symmetry against accumulation order
 
-    return DesignCache(a=a, M=M, G=G, m=m, n=n, d=d)
+    return DesignCache(a=a, M=M, G=G)
 
 
 def _check_theta(theta: SurfaceParams, cache: DesignCache) -> np.ndarray:

@@ -30,6 +30,8 @@ from .stationarity import (IndexSets, PStatCertificate, ResidualParts, index_set
                            pstationary_check, residual, saddle_matrix, solve_symmetric)
 
 GAMMA_FLOOR = 1e-14
+SAFEGUARD_WINDOW = 5  # consecutive residual increases that end a solve as diverged
+RATE_CAP, RATE_FLOOR, RATE_WINDOW = 1e-2, 1e-14, 5  # see rate_probe
 
 
 class WarmStart(enum.Enum):
@@ -56,7 +58,6 @@ class SolverConfig:
     eps              stop tolerance on the residual norm
     max_iter         Newton step budget
     warm_start       zeros or the closed-form least-squares fit
-    safeguard_window consecutive residual increases tolerated before giving up
     """
 
     lam: float = 10.0
@@ -67,7 +68,6 @@ class SolverConfig:
     eps: float = 1e-8
     max_iter: int = 100
     warm_start: WarmStart = WarmStart.LEAST_SQUARES
-    safeguard_window: int = 5
 
     def __post_init__(self):
         if not (self.lam > 0 and self.alpha > 0 and self.rho > 0 and self.gamma_init > 0):
@@ -76,8 +76,8 @@ class SolverConfig:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.max_iter < 1 or self.safeguard_window < 1:
-            raise ValueError("max_iter and safeguard_window must be at least 1")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if isinstance(self.warm_start, str):
             object.__setattr__(self, "warm_start", WarmStart(self.warm_start))
 
@@ -110,17 +110,14 @@ def gamma_update(gamma_prev: float, tau: float, rho: float, resid_norm: float) -
 def newton_direction(state: SolverState, cache: DesignCache, gamma: float):
     """One augmented-system solve; returns (d_theta, d_z_working, d_z_rest).
 
-    d_z_rest is minus the off-working duals, so the post-step z vanishes
-    there exactly.  An empty working set degenerates to the Tikhonov-damped
-    smooth step (G + gamma I) d_theta = -grad f.
+    d_z_rest is minus the residual's dual block, the off-working duals, so the
+    post-step z vanishes there exactly.  An empty working set degenerates to
+    the Tikhonov-damped smooth step (G + gamma I) d_theta = -grad f.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     working = state.working.working
-    z = state.z
-    mask = np.zeros(cache.n, dtype=bool)
-    mask[working] = True
-    d_z_rest = -z[~mask]
+    d_z_rest = -state.residual.dual_part
 
     if working.size == 0:
         K = cache.G + gamma * np.eye(cache.d)
@@ -152,7 +149,7 @@ class SolveReport:
     status: SolveStatus = SolveStatus.MAX_ITER
     certificate: PStatCertificate = None
     wall_time: float = 0.0
-    sigma_min: float = None  # populated on singular_system failures
+    sigma_min: float = None  # set when a Newton step's system is singular
 
     def to_dict(self) -> dict:
         theta = self.final.theta
@@ -178,17 +175,23 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
 
     The stop test precedes the first step, so with eps = inf the initial
     point is returned untouched.  Iterates leaving the finite range or a
-    run of `safeguard_window` consecutive residual increases end the solve
+    run of SAFEGUARD_WINDOW consecutive residual increases end the solve
     with status `diverged`; an unfactorable system ends it with
-    `singular_system` and the partial trace retained.
+    `singular_system` and the partial trace retained, as does a failed
+    warm-start solve, at theta = 0 before any step.
     """
     t0 = time.perf_counter()
     if cache is None:
         cache = build_design(data)
 
+    status = None  # set before the loop only when the warm start fails
     if theta0 is None:
         if config.warm_start is WarmStart.LEAST_SQUARES:
-            theta, z_start = warm_start_point(data, cache, config.lam, config.alpha)
+            try:
+                theta, z_start = warm_start_point(data, cache, config.lam, config.alpha)
+            except LinAlgError:
+                theta, z_start = SurfaceParams.zeros(cache.m), None
+                status = SolveStatus.SINGULAR_SYSTEM
             if z0 is None:
                 z0 = z_start
         else:
@@ -201,7 +204,6 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
 
     gamma = config.gamma_init
     residual_trace, gamma_trace, working_sizes = [], [], []
-    status = SolveStatus.MAX_ITER
     sigma_min = None
     consecutive_up = 0
     k = 0
@@ -212,6 +214,8 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
         residual_trace.append(res.norm)
         working_sizes.append(int(sets.working.size))
 
+        if status is not None:
+            break
         if not math.isfinite(res.norm):
             status = SolveStatus.DIVERGED
             break
@@ -225,7 +229,7 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
             consecutive_up += 1
         else:
             consecutive_up = 0
-        if consecutive_up >= config.safeguard_window:
+        if consecutive_up >= SAFEGUARD_WINDOW:
             status = SolveStatus.DIVERGED
             break
 
@@ -262,28 +266,27 @@ class RateProbe:
     n_pairs: int
 
 
-def rate_probe(trace, cap: float = 1e-2, floor: float = 1e-14, window: int = 5) -> RateProbe:
+def rate_probe(trace) -> RateProbe:
     """Fit C in r_{k+1} ~ C * r_k^2 over the terminal decreasing tail.
 
     The tail is the longest strictly decreasing suffix of the trace clipped
-    to entries <= cap; fewer than 4 such entries is inconclusive.  The fit
-    uses the last `window` tail entries (the asymptotic stretch), excluding
-    pairs whose successor sits at the arithmetic floor of the trace, where
-    rounding flattens the decay regardless of the true rate.  `quadratic`
-    requires a finite C, a log10-space RMS deviation below 0.5, and that
-    the quadratic model explain the pairs at least as well as a constant
-    ratio (which screens out linear-rate traces).
+    to entries <= RATE_CAP; fewer than 4 such entries is inconclusive.  The
+    fit uses the last RATE_WINDOW tail entries, excluding pairs whose successor
+    is below max(RATE_FLOOR, 3 * tail minimum), the trace's arithmetic floor,
+    where rounding flattens the decay whatever the rate.  `quadratic` needs a
+    finite C, a log10-space RMS deviation below 0.5, and the quadratic model to
+    explain the pairs at least as well as a constant ratio (a linear rate).
     """
     r = np.asarray(trace, dtype=np.float64).ravel()
     start = r.size - 1
     while start > 0 and r[start - 1] > r[start]:
         start -= 1
     tail = r[start:]
-    tail = tail[tail <= cap]
+    tail = tail[tail <= RATE_CAP]
     if tail.size < 4:
         return RateProbe(math.nan, False, True, math.nan, 0)
-    cut = max(floor, 3.0 * float(tail.min()))
-    span = tail[-window:]
+    cut = max(RATE_FLOOR, 3.0 * float(tail.min()))
+    span = tail[-RATE_WINDOW:]
     pairs = [(a, b) for a, b in zip(span[:-1], span[1:]) if a > 0 and b >= cut]
     if len(pairs) < 2:
         return RateProbe(math.nan, False, True, math.nan, len(pairs))

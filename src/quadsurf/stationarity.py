@@ -70,10 +70,9 @@ def index_sets(F: np.ndarray, z: np.ndarray, alpha: float, lam: float) -> IndexS
     in_to = in_t2 & (np.abs(F) <= band) & ((np.abs(az) <= band) | (np.abs(az - tau) <= band))
 
     idx = np.arange(F.shape[0])
-    t_o = idx[in_to]
-    t_1 = idx[in_t1]
-    working = np.union1d(t_o, t_1)
-    return IndexSets(t_o=t_o, t_1=t_1, t_2=idx[in_t2], t_3=idx[in_t3], working=working)
+    # t_o lies in t_2, which t_1 excludes, so the working set is a disjoint union
+    return IndexSets(t_o=idx[in_to], t_1=idx[in_t1], t_2=idx[in_t2], t_3=idx[in_t3],
+                     working=idx[in_to | in_t1])
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
-from quadsurf import (BenchProtocol, Dataset, GenSpec, LsqConfig, Normalize, SolverConfig,
+import quadsurf.baseline as qs_baseline
+from quadsurf import (BenchProtocol, Dataset, DesignCache, GenSpec, Normalize, SolverConfig,
                       SolveStatus, accuracy, apply_normalizer, build_design, compare,
                       fit_normalizer, generate, load_csv, ls_qssvm_fit, lsq_objective_gradient,
-                      margins, run_bench, solve, split, warm_start_point)
-from quadsurf.baseline import _hinge_sq_minimize
+                      margins, param_dim, run_bench, smooth_gradient, solve, split, tri_dim,
+                      warm_start_point)
+from quadsurf.baseline import _active_set_polish, _hinge_sq_minimize
+from quadsurf.model import _pairs
 from quadsurf.stationarity import solve_symmetric
 
 IRIS_CSV = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
@@ -53,37 +57,81 @@ def iris_train(seed, trial):
     return apply_normalizer(train, *fit_normalizer(train.points, Normalize.ZSCORE))
 
 
+def scatter_hessian(data):
+    """G from S = X'X and the column sums of X, without the per-sample maps M_i.
+
+    Entry (j, k) of sum_i M_i'M_i adds S[src_e, src_f] over the pattern
+    entries e, f of `_pairs` that share a row and sit in columns j and k.
+    """
+    X = data.points
+    n, m = X.shape
+    p, d = tri_dim(m), param_dim(m)
+    _, _, rows, cols, src = _pairs(m)
+    e, f = np.nonzero(rows[:, None] == rows[None, :])
+    S = X.T @ X
+    G = np.zeros((d, d))
+    np.add.at(G, (cols[e], cols[f]), S[src[e], src[f]])
+    Msum = np.zeros((m, p))
+    Msum[rows, cols] = X.sum(axis=0)[src]
+    G[:p, p:p + m] = Msum.T
+    G[p:p + m, :p] = Msum
+    G[p:p + m, p:p + m] = n * np.eye(m)
+    return 0.5 * (G + G.T)
+
+
+def polish_setup(data, lam):
+    """(theta0 vector, polished z0, cache, tau, alpha) of a fit whose polish succeeds."""
+    alpha = 1e-6
+    cache = build_design(data)
+    theta0, z0 = warm_start_point(data, cache, lam, alpha)
+    return theta0.to_vector(), z0, cache, np.sqrt(2.0 * alpha * lam), alpha
+
+
 class TestLsqFit:
     def test_exact_minimizer(self, rng, circ_data):
-        cfg = LsqConfig()
-        theta = ls_qssvm_fit(circ_data, cfg)
-        g = lsq_objective_gradient(theta, circ_data, cfg)
+        theta = ls_qssvm_fit(circ_data)
+        g = lsq_objective_gradient(theta, circ_data)
         assert np.linalg.norm(g) <= 1e-8 * (1.0 + np.linalg.norm(theta.to_vector()))
 
     def test_circular_accuracy(self, circ_data):
         # the squared-error surface cannot carry the far annulus points to the
         # -1 target without pulling the boundary inside the ring, so a handful
         # of inner-annulus points stay misclassified at every penalty level
-        theta = ls_qssvm_fit(circ_data, LsqConfig(c_penalty=100.0))
+        theta = ls_qssvm_fit(circ_data, c_penalty=100.0)
         assert accuracy(theta, circ_data) >= 0.9
 
     def test_all_one_label_predicts_that_label(self, rng):
         data = Dataset(points=rng.normal(size=(15, 2)), labels=np.ones(15))
-        theta = ls_qssvm_fit(data, LsqConfig())
+        theta = ls_qssvm_fit(data)
         assert accuracy(theta, data) == 1.0
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_large_penalty_interpolates_single_point(self):
         data = Dataset(points=np.array([[1.5]]), labels=np.array([1.0]))
-        theta = ls_qssvm_fit(data, LsqConfig(c_penalty=1e6))
+        theta = ls_qssvm_fit(data, c_penalty=1e6)
         h = theta.decision_values(data.points)[0]
         assert abs(h - 1.0) < 1e-3
 
-    def test_rejects_bad_config(self):
+    def test_rejects_bad_config(self, circ_data):
         with pytest.raises(ValueError):
-            LsqConfig(c_penalty=0.0)
-        with pytest.raises(ValueError):
-            LsqConfig(ridge=-1.0)
+            ls_qssvm_fit(circ_data, c_penalty=0.0)
+
+    def test_rejected_cholesky_retried_with_larger_ridge(self, circ_data, monkeypatch):
+        seen = []
+
+        def reject_first(K, rhs, positive_definite=False):
+            seen.append(K)
+            if len(seen) == 1:
+                raise LinAlgError("injected")
+            return solve_symmetric(K, rhs, positive_definite)
+
+        monkeypatch.setattr(qs_baseline, "solve_symmetric", reject_first)
+        theta = ls_qssvm_fit(circ_data)
+        assert len(seen) == 2
+        np.testing.assert_array_equal(seen[1], seen[0] + 1e-8 * np.eye(seen[0].shape[0]))
+        H, rhs = qs_baseline._lsq_system(build_design(circ_data), 1.0)
+        np.testing.assert_array_equal(theta.to_vector(),
+                                      solve_symmetric(H + 1e-8 * np.eye(H.shape[0]), rhs, True))
 
 
 class TestWarmStart:
@@ -122,6 +170,60 @@ class TestWarmStart:
         violations = np.count_nonzero(margins(report.final.theta, build_design(train)) > 0.0)
         assert violations <= train.n // 4
 
+    @pytest.mark.parametrize("failure", ["raises", "non_finite"])
+    def test_polish_gives_up_on_a_failed_saddle_solve(self, circ_data, monkeypatch, failure):
+        th, z0, cache, tau, alpha = polish_setup(circ_data, 10.0)
+        act = np.flatnonzero(z0)
+        assert _active_set_polish(th, act, cache, tau, alpha) is not None
+
+        def broken(K, rhs, positive_definite=False):
+            if failure == "raises":
+                raise LinAlgError("injected")
+            return np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(qs_baseline, "solve_symmetric", broken)
+        assert _active_set_polish(th, act, cache, tau, alpha) is None
+
+    def test_polish_activates_an_in_band_margin(self):
+        # without sample 16 the refit leaves another margin inside (0, tau), so
+        # the polish must activate it to reach a consistent pair, which takes a
+        # second pass: a budget of one pass ends unresolved
+        data = generate(GenSpec(kind="circular", n_per_class=50, seed=2))
+        th, z0, cache, tau, alpha = polish_setup(data, 10.0)
+        start = np.setdiff1d(np.flatnonzero(z0), [16])
+        assert _active_set_polish(th, start, cache, tau, alpha, passes=1) is None
+        theta, z = _active_set_polish(th, start, cache, tau, alpha)
+        support = np.flatnonzero(z)
+        assert np.setdiff1d(support, start).size == 1
+        F = margins(theta, cache)
+        np.testing.assert_allclose(F[support], 0.0, atol=1e-10)
+        assert not np.any((F > 1e-10) & (F < tau * (1.0 - 1e-9)))
+        assert np.all((z[support] > 0.0) & (z[support] < tau / alpha))
+        assert np.linalg.norm(smooth_gradient(theta, cache) + cache.a.T @ z) < 1e-8
+
+    def test_hessian_formula_does_not_move_certified_points(self):
+        # Before twin rows were merged, 3 of these 256 fits landed on another
+        # certified point when G changed in its last bits.
+        config = SolverConfig(lam=100.0)
+        data = load_csv(IRIS_CSV, class_pair=(1, 2))
+        for seed in (77, 9000):
+            for t in range(128):
+                train, _ = split(data, 0.8, np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+                train = apply_normalizer(train, *fit_normalizer(train.points, Normalize.ZSCORE))
+                cache = build_design(train)
+                G2 = scatter_hessian(train)
+                np.testing.assert_allclose(G2, cache.G, rtol=1e-13, atol=1e-12)
+                other = DesignCache(a=cache.a, M=cache.M, G=G2)
+                assert (other.n, other.m, other.d) == (cache.n, cache.m, cache.d)
+                ref = solve(train, config, cache=cache)
+                rep = solve(train, config, cache=other)
+                for r in (ref, rep):
+                    assert r.status is SolveStatus.CONVERGED and r.certificate.passed
+                np.testing.assert_array_equal(np.flatnonzero(rep.final.z),
+                                              np.flatnonzero(ref.final.z))
+                np.testing.assert_allclose(rep.final.theta.to_vector(),
+                                           ref.final.theta.to_vector(), rtol=1e-7, atol=1e-9)
+
 
 class TestHingeLoop:
     @pytest.mark.parametrize("mu", [1e2, 1e4, 1e6, 1e8])
@@ -129,7 +231,7 @@ class TestHingeLoop:
         sets = [iris_train(77, t) for t in range(3)] + [iris_train(9000, 87), circ_data]
         for data in sets:
             cache = build_design(data)
-            th0 = ls_qssvm_fit(data, LsqConfig(c_penalty=100.0), cache=cache).to_vector()
+            th0 = ls_qssvm_fit(data, c_penalty=100.0, cache=cache).to_vector()
             expect = reference_hinge_minimize(th0, cache.a, cache.G, mu)
             th, F = _hinge_sq_minimize(th0, cache.a, cache.G, mu)
             np.testing.assert_array_equal(th, expect)

@@ -35,6 +35,17 @@ class TestFit:
     def test_missing_file_exit_two(self):
         assert main(["fit", "/nonexistent/nope.csv"]) == 2
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_failed_warm_start_exit_three(self, tmp_path, capsys):
+        from pathlib import Path
+        from quadsurf import Dataset, load_csv, save_csv
+        iris = load_csv(Path(__file__).resolve().parent.parent / "data" / "iris.csv",
+                        class_pair=(1, 2))
+        path = str(tmp_path / "scaled.csv")
+        save_csv(path, Dataset(iris.points * 1e6, iris.labels))
+        assert main(["fit", path, "--lambda", "100"]) == 3
+        assert "status=singular_system iters=0" in capsys.readouterr().out
+
     def test_unconverged_exit_three(self, circ_csv):
         # an absurd parameter combination cannot converge in one iteration
         code = main(["fit", circ_csv, "--warm-start", "zeros", "--lambda", "1e-4",

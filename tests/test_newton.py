@@ -1,12 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+import quadsurf.newton as qs_newton
 from quadsurf import (Dataset, GenSpec, SolveStatus, SolverConfig, SolverState,
                       SurfaceParams, accuracy, build_design, gamma_update, generate,
-                      index_sets, margins, newton_direction, rate_probe, residual, solve)
+                      index_sets, load_csv, margins, newton_direction, rate_probe, residual,
+                      solve)
 from quadsurf.newton import GAMMA_FLOOR
+from quadsurf.stationarity import solve_symmetric
 
 from conftest import random_dataset
 
@@ -169,6 +174,45 @@ class TestSolve:
         rep = solve(dup, SolverConfig())
         assert rep.status in set(SolveStatus)
         assert np.all(np.isfinite(rep.final.z))
+
+
+class TestSolveFailures:
+    def test_singular_step_keeps_partial_trace(self, circ_data, monkeypatch):
+        from quadsurf.baseline import warm_start_point
+        cache = build_design(circ_data)
+        cfg = SolverConfig(eps=1e-12, max_iter=30)
+        th0, z0 = warm_start_point(circ_data, cache, cfg.lam, cfg.alpha, polish=False)
+        calls = []
+
+        def fail_second_step(K, rhs, positive_definite=False):
+            calls.append(1)
+            if len(calls) == 2:
+                raise LinAlgError("injected")
+            return solve_symmetric(K, rhs, positive_definite)
+
+        monkeypatch.setattr(qs_newton, "solve_symmetric", fail_second_step)
+        rep = solve(circ_data, cfg, theta0=th0, z0=z0, cache=cache)
+        assert rep.status is SolveStatus.SINGULAR_SYSTEM
+        assert math.isfinite(rep.sigma_min) and rep.sigma_min >= 0.0
+        assert rep.final.iter == 1
+        assert len(rep.residual_trace) == len(rep.gamma_trace) == 2
+        assert len(rep.working_sizes) == 2
+        assert rep.final.residual.norm == rep.residual_trace[-1]
+        rep.to_json()
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_failed_warm_start_reports_singular_system(self):
+        # features scaled by 1e6 put G's entries near 1e24, and Cholesky
+        # rejects the warm start's squared-hinge Newton matrix
+        iris = load_csv(Path(__file__).resolve().parent.parent / "data" / "iris.csv",
+                        class_pair=(1, 2))
+        rep = solve(Dataset(iris.points * 1e6, iris.labels), SolverConfig(lam=100.0))
+        assert rep.status is SolveStatus.SINGULAR_SYSTEM
+        assert rep.final.iter == 0 and rep.gamma_trace == []
+        assert len(rep.residual_trace) == 1
+        np.testing.assert_array_equal(rep.final.theta.to_vector(), 0.0)
+        np.testing.assert_array_equal(rep.final.z, 0.0)
+        assert rep.to_dict()["status"] == "singular_system"
 
 
 class TestRateProbe:
