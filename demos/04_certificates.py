@@ -13,9 +13,9 @@ from quadsurf import (GenSpec, SolverConfig, alpha_bounds, assumption_rank_check
                       recover_multiplier, residual, second_order_check, solve)
 
 data = generate(GenSpec(kind="convex2d", n_per_class=50, seed=1))
-cache = build_design(data)
 config = SolverConfig()
-report = solve(data, config, cache=cache)
+report = solve(data, config)
+cache = build_design(data)
 theta, z = report.final.theta, report.final.z
 print("solve:", report.status.value, "residual", report.final.residual.norm)
 

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from .model import (Dataset, DesignCache, SurfaceParams, build_design, predict_many)
+from .prox import ProxParams
 from .stationarity import saddle_matrix, solve_symmetric
 
 RIDGE = 1e-10
@@ -29,22 +30,27 @@ def _lsq_system(cache: DesignCache, c_penalty: float):
     return H, rhs
 
 
-def ls_qssvm_fit(data: Dataset, c_penalty: float = 1.0,
-                 cache: DesignCache = None) -> SurfaceParams:
-    """Exact minimizer of the regularized least-squares surface objective.
+def _lsq_solve(cache: DesignCache, c_penalty: float) -> np.ndarray:
+    """Parameter vector of the least-squares fit on a design.
 
-    `c_penalty` is the weight C > 0 of the squared label errors.  A normal
-    matrix that Cholesky rejects is retried once with 1e-8 on its diagonal.
+    A normal matrix that Cholesky rejects is retried once with 1e-8 on its
+    diagonal.
     """
-    if cache is None:
-        cache = build_design(data)
     H, rhs = _lsq_system(cache, c_penalty)
     try:
-        theta = solve_symmetric(H, rhs, positive_definite=True)
+        return solve_symmetric(H, rhs, positive_definite=True)
     except LinAlgError:
         H = H + 1e-8 * np.eye(cache.d)
-        theta = solve_symmetric(H, rhs, positive_definite=True)
-    return SurfaceParams.from_vector(theta, cache.m)
+        return solve_symmetric(H, rhs, positive_definite=True)
+
+
+def ls_qssvm_fit(data: Dataset, c_penalty: float = 1.0) -> SurfaceParams:
+    """Exact minimizer of the regularized least-squares surface objective on `data`.
+
+    `c_penalty` is the weight C > 0 of the squared label errors.
+    """
+    cache = build_design(data)
+    return SurfaceParams.from_vector(_lsq_solve(cache, c_penalty), cache.m)
 
 
 def lsq_objective_gradient(theta: SurfaceParams, data: Dataset,
@@ -108,9 +114,8 @@ def _hinge_sq_minimize(th, A, G, mu, passes=80):
     return th, F
 
 
-def warm_start_point(data: Dataset, cache: DesignCache, lam: float, alpha: float,
-                     polish: bool = True):
-    """Initial (theta0, z0) for the Newton solver.
+def warm_start_point(cache: DesignCache, lam: float, alpha: float, polish: bool = True):
+    """Initial (theta0, z0) for the Newton solver on the design `cache`.
 
     Pipeline: least-squares surface fit (C = 100), rescaled to unit minimum
     margin when separating, then a squared-hinge continuation with the penalty
@@ -124,12 +129,12 @@ def warm_start_point(data: Dataset, cache: DesignCache, lam: float, alpha: float
     first iteration prices them out anyway.
     """
     A, G = cache.a, cache.G
-    th = ls_qssvm_fit(data, 100.0, cache=cache).to_vector()
+    th = _lsq_solve(cache, 100.0)
     yh = 1.0 - (1.0 + A @ th)  # y_i h(x_i) = 1 - F_i
     if yh.min() > 1e-6:
         th = th / yh.min()
 
-    tau = np.sqrt(2.0 * alpha * lam)
+    tau = ProxParams(alpha=alpha, lam=lam).threshold
     mu = 1e2
     fmax_prev = None
     while True:

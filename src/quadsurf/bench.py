@@ -213,8 +213,6 @@ def compare(data_train: Dataset, data_test: Dataset, methods=METHODS,
     singular system are excluded from the statistics and counted in the
     `failures` column.
     """
-    if data_train.n == 0 or data_test.n == 0:
-        raise ValueError("empty train or test split")
     return _fit_and_score([(data_train, data_test)] * trials, methods, solver_config,
                           trials, seed)
 

@@ -98,10 +98,10 @@ def cmd_fit(args) -> int:
 
 def cmd_check(args) -> int:
     data = _load(args)
-    cache = build_design(data)
-    report = solve(data, _solver_config(args), cache=cache)
+    report = solve(data, _solver_config(args))
     cert = report.certificate
     working = report.final.working.working
+    cache = build_design(data)
     independent, rank = assumption_rank_check(working, cache)
     so = second_order_check(working, cache, all_subsets=args.all_subsets)
     out = {
@@ -109,7 +109,7 @@ def cmd_check(args) -> int:
                   "residual": report.final.residual.norm},
         "certificate": cert.to_dict(),
         "alpha_used": args.alpha,
-        "alpha_margin_ok": (cert.alpha_star is None) or (cert.alpha_star > args.alpha),
+        "alpha_margin_ok": cert.alpha_star > args.alpha,
         "working_size": int(working.size),
         "rank_check": {"independent": independent, "rank": rank},
         "second_order": {"sigma_min": so.sigma_min, "sigma_max": so.sigma_max,

@@ -107,17 +107,17 @@ def gamma_update(gamma_prev: float, tau: float, rho: float, resid_norm: float) -
     return max(min(tau * gamma_prev, rho * resid_norm), GAMMA_FLOOR)
 
 
-def newton_direction(state: SolverState, cache: DesignCache, gamma: float):
-    """One augmented-system solve; returns (d_theta, d_z_working, d_z_rest).
+def newton_direction(state: SolverState, cache: DesignCache):
+    """One augmented-system solve at perturbation state.gamma; returns (d_theta, d_z_working).
 
-    d_z_rest is minus the residual's dual block, the off-working duals, so the
-    post-step z vanishes there exactly.  An empty working set degenerates to
-    the Tikhonov-damped smooth step (G + gamma I) d_theta = -grad f.
+    Duals off the working set take no direction: the step resets them to
+    zero.  An empty working set degenerates to the Tikhonov-damped smooth
+    step (G + gamma I) d_theta = -grad f.
     """
+    gamma = state.gamma
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     working = state.working.working
-    d_z_rest = -state.residual.dual_part
 
     if working.size == 0:
         K = cache.G + gamma * np.eye(cache.d)
@@ -134,10 +134,7 @@ def newton_direction(state: SolverState, cache: DesignCache, gamma: float):
     if sol is None or not np.all(np.isfinite(sol)):
         sv = scipy.linalg.svdvals(K)
         raise SingularSystemError(float(sv[-1]))
-
-    d_theta = sol[:cache.d]
-    d_z_working = sol[cache.d:]
-    return d_theta, d_z_working, d_z_rest
+    return sol[:cache.d], sol[cache.d:]
 
 
 @dataclass(frozen=True)
@@ -169,10 +166,10 @@ class SolveReport:
 
 
 def solve(data: Dataset, config: SolverConfig = SolverConfig(),
-          theta0: SurfaceParams = None, z0: np.ndarray = None,
-          cache: DesignCache = None) -> SolveReport:
+          theta0: SurfaceParams = None, z0: np.ndarray = None) -> SolveReport:
     """Run the damped Newton iteration until the residual drops below eps.
 
+    The design is built from `data` once and shared with the warm start.
     The stop test precedes the first step, so with eps = inf the initial
     point is returned untouched.  Iterates leaving the finite range or a
     run of SAFEGUARD_WINDOW consecutive residual increases end the solve
@@ -181,14 +178,13 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
     warm-start solve, at theta = 0 before any step.
     """
     t0 = time.perf_counter()
-    if cache is None:
-        cache = build_design(data)
+    cache = build_design(data)
 
     status = None  # set before the loop only when the warm start fails
     if theta0 is None:
         if config.warm_start is WarmStart.LEAST_SQUARES:
             try:
-                theta, z_start = warm_start_point(data, cache, config.lam, config.alpha)
+                theta, z_start = warm_start_point(cache, config.lam, config.alpha)
             except LinAlgError:
                 theta, z_start = SurfaceParams.zeros(cache.m), None
                 status = SolveStatus.SINGULAR_SYSTEM
@@ -237,7 +233,7 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
         gamma_trace.append(gamma)
         state = SolverState(theta=theta, z=z, gamma=gamma, working=sets, residual=res, iter=k)
         try:
-            d_theta, d_z_working, _ = newton_direction(state, cache, gamma)
+            d_theta, d_z_working = newton_direction(state, cache)
         except SingularSystemError as err:
             status = SolveStatus.SINGULAR_SYSTEM
             sigma_min = err.sigma_min

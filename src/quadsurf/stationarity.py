@@ -50,13 +50,11 @@ class IndexSets:
 
 def index_sets(F: np.ndarray, z: np.ndarray, alpha: float, lam: float) -> IndexSets:
     """Classify indices by F + alpha*z against the prox threshold."""
-    if not (alpha > 0 and lam > 0):
-        raise ValueError(f"alpha and lam must be positive, got {alpha}, {lam}")
+    tau = ProxParams(alpha=alpha, lam=lam).threshold
     F = np.asarray(F, dtype=np.float64).ravel()
     z = np.asarray(z, dtype=np.float64).ravel()
     if F.shape != z.shape:
         raise ValueError(f"F and z disagree in length: {F.shape} vs {z.shape}")
-    tau = math.sqrt(2.0 * alpha * lam)
     band = _SET_BAND * max(1.0, tau)
     s = F + alpha * z
 

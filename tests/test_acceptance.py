@@ -38,7 +38,7 @@ def default_runs():
     for kind in KINDS:
         for seed in SEEDS:
             data = generate(GenSpec(kind=kind, n_per_class=50, seed=seed))
-            solve(data, SolverConfig(), cache=build_design(data))  # warm BLAS path
+            solve(data, SolverConfig())  # warm BLAS path
             rep = solve(data, SolverConfig())
             runs[(kind, seed)] = (data, rep)
     return runs
@@ -51,9 +51,8 @@ def rate_runs():
         for seed in SEEDS:
             data = generate(GenSpec(kind=kind, n_per_class=50, seed=seed))
             cache = build_design(data)
-            theta0, z0 = warm_start_point(data, cache, RATE_CONFIG.lam, RATE_CONFIG.alpha,
-                                          polish=False)
-            rep = solve(data, RATE_CONFIG, theta0=theta0, z0=z0, cache=cache)
+            theta0, z0 = warm_start_point(cache, RATE_CONFIG.lam, RATE_CONFIG.alpha, polish=False)
+            rep = solve(data, RATE_CONFIG, theta0=theta0, z0=z0)
             runs[(kind, seed)] = (data, rep)
     return runs
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 import quadsurf.baseline as qs_baseline
+import quadsurf.newton as qs_newton
 from quadsurf import (BenchProtocol, Dataset, DesignCache, GenSpec, Normalize, SolverConfig,
                       SolveStatus, accuracy, apply_normalizer, build_design, compare,
                       fit_normalizer, generate, load_csv, ls_qssvm_fit, lsq_objective_gradient,
@@ -83,7 +84,7 @@ def polish_setup(data, lam):
     """(theta0 vector, polished z0, cache, tau, alpha) of a fit whose polish succeeds."""
     alpha = 1e-6
     cache = build_design(data)
-    theta0, z0 = warm_start_point(data, cache, lam, alpha)
+    theta0, z0 = warm_start_point(cache, lam, alpha)
     return theta0.to_vector(), z0, cache, np.sqrt(2.0 * alpha * lam), alpha
 
 
@@ -138,7 +139,7 @@ class TestWarmStart:
     def test_balance_and_margins(self, circ_data):
         from quadsurf import smooth_gradient
         cache = build_design(circ_data)
-        theta0, z0 = warm_start_point(circ_data, cache, lam=10.0, alpha=1e-6)
+        theta0, z0 = warm_start_point(cache, lam=10.0, alpha=1e-6)
         g = smooth_gradient(theta0, cache) + cache.a.T @ z0
         assert np.linalg.norm(g) < 1e-6
         assert np.all(z0 >= 0.0)
@@ -147,8 +148,7 @@ class TestWarmStart:
 
     def test_unpolished_keeps_violations_small(self, circ_data):
         cache = build_design(circ_data)
-        theta0, z0 = warm_start_point(circ_data, cache, lam=10.0, alpha=1e-6,
-                                      polish=False)
+        theta0, z0 = warm_start_point(cache, lam=10.0, alpha=1e-6, polish=False)
         F = margins(theta0, cache)
         tau = np.sqrt(2.0 * 1e-6 * 10.0)
         assert F.max() <= tau
@@ -201,7 +201,7 @@ class TestWarmStart:
         assert np.all((z[support] > 0.0) & (z[support] < tau / alpha))
         assert np.linalg.norm(smooth_gradient(theta, cache) + cache.a.T @ z) < 1e-8
 
-    def test_hessian_formula_does_not_move_certified_points(self):
+    def test_hessian_formula_does_not_move_certified_points(self, monkeypatch):
         # Before twin rows were merged, 3 of these 256 fits landed on another
         # certified point when G changed in its last bits.
         config = SolverConfig(lam=100.0)
@@ -215,8 +215,17 @@ class TestWarmStart:
                 np.testing.assert_allclose(G2, cache.G, rtol=1e-13, atol=1e-12)
                 other = DesignCache(a=cache.a, M=cache.M, G=G2)
                 assert (other.n, other.m, other.d) == (cache.n, cache.m, cache.d)
-                ref = solve(train, config, cache=cache)
-                rep = solve(train, config, cache=other)
+                ref = solve(train, config)
+                seen = []
+
+                def scatter_design(data):
+                    seen.append(data)
+                    return other
+
+                with monkeypatch.context() as mp:
+                    mp.setattr(qs_newton, "build_design", scatter_design)
+                    rep = solve(train, config)
+                assert len(seen) == 1 and seen[0] is train
                 for r in (ref, rep):
                     assert r.status is SolveStatus.CONVERGED and r.certificate.passed
                 np.testing.assert_array_equal(np.flatnonzero(rep.final.z),
@@ -231,7 +240,7 @@ class TestHingeLoop:
         sets = [iris_train(77, t) for t in range(3)] + [iris_train(9000, 87), circ_data]
         for data in sets:
             cache = build_design(data)
-            th0 = ls_qssvm_fit(data, c_penalty=100.0, cache=cache).to_vector()
+            th0 = ls_qssvm_fit(data, c_penalty=100.0).to_vector()
             expect = reference_hinge_minimize(th0, cache.a, cache.G, mu)
             th, F = _hinge_sq_minimize(th0, cache.a, cache.G, mu)
             np.testing.assert_array_equal(th, expect)

@@ -16,8 +16,10 @@ def test_same_digest_twice():
     first = run_digest("--seeds", "77", "9000", "--trials", "2")
     second = run_digest("--seeds", "77", "9000", "--trials", "2")
     assert first == second
-    assert set(first) == {"digest", "linalg_warnings", "accuracy_pct"}
-    assert len(first["digest"]) == 64
+    assert set(first) == {"digest", "linalg_warnings", "accuracy_pct", "noisy_digest"}
+    assert len(first["digest"]) == len(first["noisy_digest"]) == 64
     assert 0.0 <= float(first["accuracy_pct"]) <= 100.0
-    # a different trial set must change the digest
-    assert run_digest("--seeds", "77", "--trials", "2")["digest"] != first["digest"]
+    # a different trial set must change the iris digest, not the noisy one
+    other = run_digest("--seeds", "77", "--trials", "2")
+    assert other["digest"] != first["digest"]
+    assert other["noisy_digest"] == first["noisy_digest"]

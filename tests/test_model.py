@@ -1,10 +1,14 @@
+import importlib
+import inspect
+import pkgutil
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from quadsurf import (Dataset, InputError, SurfaceParams, build_design, margins, param_dim,
-                      predict, predict_many, smooth_gradient, smooth_value, total_loss)
+import quadsurf
+from quadsurf import (Dataset, DesignCache, InputError, SurfaceParams, build_design, margins,
+                      param_dim, predict, predict_many, smooth_gradient, smooth_value, total_loss)
 from quadsurf.model import _packed_features, _pairs, _per_sample_maps
 
 from conftest import random_dataset
@@ -372,3 +376,26 @@ class TestSurfaceImmutable:
         np.testing.assert_array_equal(theta.matrix(), [[1.0, 0.5], [0.5, 2.0]])
         np.testing.assert_array_equal(theta.decision_values(self.pts), before)
         assert [predict(theta, x) for x in self.pts] == [1, -1, 1]
+
+
+def test_one_description_of_the_samples_per_call():
+    """No library function takes the samples both as a Dataset and as a DesignCache."""
+    def takes(params, cls, name):
+        return any(p.annotation is cls or (p.annotation is p.empty and p.name == name)
+                   for p in params)
+
+    offenders = []
+    for info in pkgutil.iter_modules(quadsurf.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(f"quadsurf.{info.name}")
+        own = [obj for _, obj in inspect.getmembers(module)
+               if getattr(obj, "__module__", None) == module.__name__]
+        funcs = [f for f in own if inspect.isfunction(f)]
+        funcs += [f for cls in own if inspect.isclass(cls)
+                  for _, f in inspect.getmembers(cls, inspect.isfunction)]
+        for f in funcs:
+            params = inspect.signature(f).parameters.values()
+            if takes(params, Dataset, "data") and takes(params, DesignCache, "cache"):
+                offenders.append(f"{module.__name__}.{f.__qualname__}")
+    assert offenders == []

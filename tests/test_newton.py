@@ -33,11 +33,11 @@ class TestGammaUpdate:
             gamma_update(0.1, 1.5, 1.0, 1.0)
 
 
-def make_state(theta, z, cache, alpha, lam):
+def make_state(theta, z, cache, alpha, lam, gamma):
     F = margins(theta, cache)
     sets = index_sets(F, z, alpha, lam)
     res = residual(theta, z, sets.working, cache)
-    return SolverState(theta=theta, z=z, gamma=1.0, working=sets, residual=res, iter=0)
+    return SolverState(theta=theta, z=z, gamma=gamma, working=sets, residual=res, iter=0)
 
 
 class TestNewtonDirection:
@@ -45,14 +45,14 @@ class TestNewtonDirection:
         v = rng.normal(size=small_cache.d)
         theta = SurfaceParams.from_vector(v, small_cache.m)
         z = np.zeros(small_cache.n)
-        state = make_state(theta, z, small_cache, alpha=1e-9, lam=1e-9)
-        assert state.working.working.size == 0
         gamma = 0.05
-        d_theta, d_zw, d_zr = newton_direction(state, small_cache, gamma)
+        state = make_state(theta, z, small_cache, alpha=1e-9, lam=1e-9, gamma=gamma)
+        assert state.working.working.size == 0
+        d_theta, d_zw = newton_direction(state, small_cache)
         expect = np.linalg.solve(small_cache.G + gamma * np.eye(small_cache.d),
                                  -state.residual.grad_part)
         np.testing.assert_allclose(d_theta, expect, rtol=1e-10)
-        np.testing.assert_array_equal(d_zr, -z[np.arange(small_cache.n)])
+        assert d_zw.size == 0
 
     def test_stationary_point_zero_direction(self, rng):
         from test_stationarity import exact_pair
@@ -63,8 +63,8 @@ class TestNewtonDirection:
         F = margins(theta, cache)
         sets = index_sets(F, z, alpha, 1.0)
         res = residual(theta, z, sets.working, cache)
-        state = SolverState(theta=theta, z=z, gamma=1.0, working=sets, residual=res, iter=0)
-        d_theta, d_zw, d_zr = newton_direction(state, cache, gamma=1e-3)
+        state = SolverState(theta=theta, z=z, gamma=1e-3, working=sets, residual=res, iter=0)
+        d_theta, d_zw = newton_direction(state, cache)
         assert np.linalg.norm(d_theta) < 1e-9
         assert np.linalg.norm(d_zw) < 1e-9
 
@@ -74,11 +74,11 @@ class TestNewtonDirection:
         cache = build_design(data)
         theta = SurfaceParams(np.array([0.3]), np.array([0.4]), -0.2)
         z = np.array([0.5, 0.1])
-        state = make_state(theta, z, cache, alpha=1.0, lam=10.0)
+        gamma = 0.01
+        state = make_state(theta, z, cache, alpha=1.0, lam=10.0, gamma=gamma)
         T = state.working.working
         assert T.size > 0
-        gamma = 0.01
-        d_theta, d_zw, _ = newton_direction(state, cache, gamma)
+        d_theta, d_zw = newton_direction(state, cache)
 
         A = cache.a[T]
         K = np.block([[cache.G, A.T], [A, -gamma * np.eye(T.size)]])
@@ -93,11 +93,11 @@ class TestNewtonDirection:
         v = rng.normal(size=cache.d)
         theta = SurfaceParams.from_vector(v, 2)
         z = rng.normal(size=8) * 0.1
-        state = make_state(theta, z, cache, alpha=0.5, lam=1.0)
+        gamma = 0.05
+        state = make_state(theta, z, cache, alpha=0.5, lam=1.0, gamma=gamma)
         if state.working.working.size == 0:
             pytest.skip("working set empty for this draw")
-        gamma = 0.05
-        d_theta, d_zw, _ = newton_direction(state, cache, gamma)
+        d_theta, d_zw = newton_direction(state, cache)
         T = state.working.working
         A = cache.a[T]
         top = cache.G @ d_theta + A.T @ d_zw
@@ -135,8 +135,8 @@ class TestSolve:
         from quadsurf.baseline import warm_start_point
         cache = build_design(circ_data)
         cfg = SolverConfig(eps=1e-12, max_iter=30)
-        th0, z0 = warm_start_point(circ_data, cache, cfg.lam, cfg.alpha, polish=False)
-        rep = solve(circ_data, cfg, theta0=th0, z0=z0, cache=cache)
+        th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
+        rep = solve(circ_data, cfg, theta0=th0, z0=z0)
         gamma_prev = cfg.gamma_init
         for r, g in zip(rep.residual_trace, rep.gamma_trace):
             assert g == pytest.approx(max(min(cfg.tau * gamma_prev, cfg.rho * r),
@@ -147,11 +147,25 @@ class TestSolve:
         from quadsurf.baseline import warm_start_point
         cache = build_design(circ_data)
         cfg = SolverConfig(max_iter=3, eps=1e-16)
-        th0, z0 = warm_start_point(circ_data, cache, cfg.lam, cfg.alpha, polish=False)
-        rep = solve(circ_data, cfg, theta0=th0, z0=z0, cache=cache)
+        th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
+        rep = solve(circ_data, cfg, theta0=th0, z0=z0)
         z = rep.final.z
         outside = np.setdiff1d(np.arange(cache.n), rep.final.working.working)
         np.testing.assert_array_equal(z[outside], 0.0)
+
+    def test_step_zeroes_duals_off_its_working_set(self, circ_data):
+        # a step gives no direction to the duals off its working set: it resets them to 0
+        from quadsurf.baseline import warm_start_point
+        cache = build_design(circ_data)
+        cfg = SolverConfig(max_iter=1, eps=1e-16)
+        th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
+        z0 = z0 + 0.5
+        sets = index_sets(margins(th0, cache), z0, cfg.alpha, cfg.lam)
+        outside = np.setdiff1d(np.arange(cache.n), sets.working)
+        assert outside.size > 0
+        rep = solve(circ_data, cfg, theta0=th0, z0=z0)
+        assert rep.final.iter == 1
+        np.testing.assert_array_equal(rep.final.z[outside], 0.0)
 
     def test_report_serializes(self, circ_data):
         rep = solve(circ_data, SolverConfig())
@@ -181,7 +195,7 @@ class TestSolveFailures:
         from quadsurf.baseline import warm_start_point
         cache = build_design(circ_data)
         cfg = SolverConfig(eps=1e-12, max_iter=30)
-        th0, z0 = warm_start_point(circ_data, cache, cfg.lam, cfg.alpha, polish=False)
+        th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
         calls = []
 
         def fail_second_step(K, rhs, positive_definite=False):
@@ -191,7 +205,7 @@ class TestSolveFailures:
             return solve_symmetric(K, rhs, positive_definite)
 
         monkeypatch.setattr(qs_newton, "solve_symmetric", fail_second_step)
-        rep = solve(circ_data, cfg, theta0=th0, z0=z0, cache=cache)
+        rep = solve(circ_data, cfg, theta0=th0, z0=z0)
         assert rep.status is SolveStatus.SINGULAR_SYSTEM
         assert math.isfinite(rep.sigma_min) and rep.sigma_min >= 0.0
         assert rep.final.iter == 1
@@ -237,8 +251,8 @@ class TestRateProbe:
         data = generate(GenSpec(kind="convex2d", n_per_class=50, seed=2))
         cache = build_design(data)
         cfg = SolverConfig(alpha=4e-6, rho=3.0, eps=1e-10, max_iter=20)
-        th0, z0 = warm_start_point(data, cache, cfg.lam, cfg.alpha, polish=False)
-        rep = solve(data, cfg, theta0=th0, z0=z0, cache=cache)
+        th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
+        rep = solve(data, cfg, theta0=th0, z0=z0)
         pr = rate_probe(rep.residual_trace)
         assert rep.status is SolveStatus.CONVERGED
         assert pr.quadratic

@@ -64,6 +64,11 @@ class TestIndexSets:
         np.testing.assert_array_equal(s.t_o, np.arange(4))
         np.testing.assert_array_equal(s.working, np.arange(4))
 
+    @pytest.mark.parametrize("alpha, lam", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0)])
+    def test_rejects_nonpositive_alpha_or_lam(self, alpha, lam):
+        with pytest.raises(ValueError):
+            index_sets(np.zeros(3), np.zeros(3), alpha=alpha, lam=lam)
+
     def test_partition(self, rng):
         for _ in range(200):
             n = int(rng.integers(1, 12))

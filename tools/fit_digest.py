@@ -1,18 +1,22 @@
-"""One digest over the iris benchmark protocol's fits, to prove two builds fit alike.
+"""Digests over fixed sets of fits, to prove two builds fit alike.
 
     python3 tools/fit_digest.py --seeds 77 9000 --trials 128
 
 For each seed and trial it re-splits iris classes 1 vs 2 80/20 with the
 per-trial stream `run_bench` uses, z-scores both halves with the training
 statistics, runs the Newton fit (lam = 100) and the least-squares fit, and
-predicts the test split with both.  It prints three lines:
+predicts the test split with both.  Iris fits end at the warm start, so it
+also fits six noisy circular draws (600 per class, noise 0.3, seeds
+100-105, lam = 100), which take Newton steps.  It prints four lines:
 
     digest             sha256 over theta, z, status, iterations and the
                        certificate JSON of every Newton fit, the LS fit's
                        theta, and both fits' test predictions
-    linalg_warnings    LinAlgWarnings raised by the fits
+    linalg_warnings    LinAlgWarnings raised by the iris fits
     accuracy_pct       mean Newton test accuracy, singular-system fits left
                        out as `run_bench` leaves them out
+    noisy_digest       sha256 over theta, z, status, iterations and the
+                       certificate JSON of the noisy circular fits
 
 Run from the root of a source checkout; the library is imported from its
 ``src/`` directory.  Equal digests mean bit-identical results.
@@ -37,11 +41,23 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 from scipy.linalg import LinAlgWarning  # noqa: E402
 
-from quadsurf import (Normalize, SolverConfig, SolveStatus, apply_normalizer,  # noqa: E402
-                      fit_normalizer, load_csv, ls_qssvm_fit, predict_many, solve, split)
+from quadsurf import (GenSpec, Normalize, SolverConfig, SolveStatus,  # noqa: E402
+                      apply_normalizer, fit_normalizer, generate, load_csv, ls_qssvm_fit,
+                      predict_many, solve, split)
 
 IRIS_CSV = ROOT / "data" / "iris.csv"
 SOLVER = SolverConfig(lam=100.0)
+NOISY = [GenSpec(kind="circular", n_per_class=600, seed=s, noise=0.3) for s in range(100, 106)]
+
+
+def _update_with_fit(h, report):
+    """Feed theta, z, status, iterations and the certificate JSON of a fit into h."""
+    final = report.final
+    h.update(final.theta.to_vector().tobytes())
+    h.update(np.asarray(final.z, dtype=np.float64).tobytes())
+    h.update(f"{report.status.value} {final.iter}\n".encode())
+    cert = report.certificate.to_json(sort_keys=True) if report.certificate else ""
+    h.update(cert.encode())
 
 
 def fit_digest(seeds, trials: int):
@@ -60,13 +76,8 @@ def fit_digest(seeds, trials: int):
                 test = apply_normalizer(test, shift, scale)
 
                 report = solve(train, SOLVER)
-                final = report.final
-                h.update(final.theta.to_vector().tobytes())
-                h.update(np.asarray(final.z, dtype=np.float64).tobytes())
-                h.update(f"{report.status.value} {final.iter}\n".encode())
-                cert = report.certificate.to_json(sort_keys=True) if report.certificate else ""
-                h.update(cert.encode())
-                labels = predict_many(final.theta, test.points)
+                _update_with_fit(h, report)
+                labels = predict_many(report.final.theta, test.points)
                 h.update(labels.tobytes())
 
                 ls = ls_qssvm_fit(train)
@@ -77,6 +88,14 @@ def fit_digest(seeds, trials: int):
                     accs.append(100.0 * float(np.mean(labels == test.labels)))
     n_warn = sum(issubclass(w.category, LinAlgWarning) for w in caught)
     return h.hexdigest(), n_warn, float(np.mean(accs)) if accs else float("nan")
+
+
+def noisy_digest():
+    """sha256 hex digest over the Newton fits of the NOISY draws."""
+    h = hashlib.sha256()
+    for spec in NOISY:
+        _update_with_fit(h, solve(generate(spec), SOLVER))
+    return h.hexdigest()
 
 
 def main(argv=None):
@@ -90,6 +109,7 @@ def main(argv=None):
     print(f"digest           {digest}")
     print(f"linalg_warnings  {n_warn}")
     print(f"accuracy_pct     {acc:.3f}")
+    print(f"noisy_digest     {noisy_digest()}")
 
 
 if __name__ == "__main__":
