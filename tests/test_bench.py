@@ -26,6 +26,21 @@ class TestLoadCsv:
         np.testing.assert_array_equal(d1.points, d2.points)
         np.testing.assert_array_equal(d1.labels, d2.labels)
 
+    def test_byte_order_mark_keeps_first_sample(self, tmp_path):
+        body = "5.1,3.5,-1\n4.9,3.0,1\n4.7,3.2,-1\n4.6,3.1,1\n"
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        data = load_csv(str(p))
+        assert data.n == 4
+        np.testing.assert_array_equal(data.points, load_csv(self.write(tmp_path, body)).points)
+
+    def test_header_after_blank_lines(self, tmp_path):
+        body = "1.0,2.0,-1\n3.0,4.0,1\n"
+        data = load_csv(self.write(tmp_path, "\n\nx1,x2,label\n" + body))
+        np.testing.assert_array_equal(data.points, [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(InputError, match="row 4: non-numeric value 'x1'"):
+            load_csv(self.write(tmp_path, "\n" + body + "x1,x2,label\n", "late.csv"))
+
     def test_class_pair_filters_and_maps(self, tmp_path):
         path = self.write(tmp_path, "1,1,0\n2,2,1\n3,3,2\n4,4,1\n")
         data = load_csv(path, class_pair=(1, 2))
