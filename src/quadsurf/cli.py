@@ -106,7 +106,8 @@ def cmd_check(args) -> int:
     so = second_order_check(working, cache, all_subsets=args.all_subsets)
     out = {
         "solve": {"status": report.status.value, "iters": report.final.iter,
-                  "residual": report.final.residual.norm},
+                  "residual": report.final.residual.norm,
+                  "constant_surface": report.constant_surface},
         "certificate": cert.to_dict(),
         "alpha_used": args.alpha,
         "alpha_margin_ok": cert.alpha_star > args.alpha,

@@ -17,6 +17,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 
+# Margins at or below this count as met in `total_loss`: it is the certificate's
+# default tolerance (10 * SolverConfig.eps), within which a margin reads as zero.
+# The zero margins of a certified point land within about 1e-13 of 0, some above it.
+_VIOLATION_TOL = 1e-7
+
+
 class InputError(ValueError):
     """Raised for malformed user-supplied data (bad CSV, non-finite features...)."""
 
@@ -276,11 +282,11 @@ class LossValue:
 
 
 def total_loss(theta: SurfaceParams, cache: DesignCache, lam: float) -> LossValue:
-    """Smooth part plus lam times the number of strictly violated margins."""
+    """Smooth part plus lam times the number of margins violated by more than 1e-7."""
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     sm = smooth_value(theta, cache)
-    count = int(np.count_nonzero(margins(theta, cache) > 0.0))
+    count = int(np.count_nonzero(margins(theta, cache) > _VIOLATION_TOL))
     return LossValue(smooth=sm, count=count, total=sm + lam * count)
 
 

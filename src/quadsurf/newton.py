@@ -148,10 +148,23 @@ class SolveReport:
     wall_time: float = 0.0
     sigma_min: float = None  # set when a Newton step's system is singular
 
+    @property
+    def constant_surface(self) -> bool:
+        """True when every x-dependent coefficient (wtri, b) of the final surface is
+        zero within the certificate's tolerance, so h is the constant c.
+
+        A constant surface is P-stationary on any data, so it can pass the
+        certificate; this flag tells such a degenerate endpoint apart.
+        """
+        theta = self.final.theta
+        tol = self.certificate.tolerance if self.certificate else 0.0
+        return bool(max(np.abs(theta.wtri).max(), np.abs(theta.b).max()) <= tol)
+
     def to_dict(self) -> dict:
         theta = self.final.theta
         return {
             "status": self.status.value,
+            "constant_surface": self.constant_surface,
             "iters": self.final.iter,
             "residual_trace": [float(r) for r in self.residual_trace],
             "gamma_trace": [float(g) for g in self.gamma_trace],

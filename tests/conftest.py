@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from quadsurf import Dataset, GenSpec, build_design, generate
+from quadsurf import (Dataset, GenSpec, Normalize, apply_normalizer, build_design,
+                      fit_normalizer, generate, load_csv, split)
+
+IRIS_CSV = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
 
 
 @pytest.fixture
@@ -32,3 +37,10 @@ def random_dataset(rng, n, m):
     if np.all(labels == labels[0]) and n >= 2:
         labels[0] = -labels[0]
     return Dataset(points=pts, labels=labels)
+
+
+def iris_train(seed, trial):
+    """z-scored training split of iris classes 1 vs 2, trial `trial` of seed `seed`."""
+    data = load_csv(IRIS_CSV, class_pair=(1, 2))
+    train, _ = split(data, 0.8, np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    return apply_normalizer(train, *fit_normalizer(train.points, Normalize.ZSCORE))

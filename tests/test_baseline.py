@@ -1,5 +1,4 @@
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from quadsurf.baseline import _active_set_polish, _hinge_sq_minimize
 from quadsurf.model import _pairs
 from quadsurf.stationarity import solve_symmetric
 
-IRIS_CSV = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
+from conftest import IRIS_CSV, iris_train
 
 
 def reference_hinge_value(th, A, G, mu):
@@ -73,12 +72,6 @@ def hinge_minimize(th, cache, mu, **kwargs):
     """`_hinge_sq_minimize` from th alone, as the first continuation stage calls it."""
     return _hinge_sq_minimize(th, 1.0 + cache.a @ th, cache.G @ th, cache.a, cache.G, mu,
                               **kwargs)
-
-
-def iris_train(seed, trial):
-    data = load_csv(IRIS_CSV, class_pair=(1, 2))
-    train, _ = split(data, 0.8, np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-    return apply_normalizer(train, *fit_normalizer(train.points, Normalize.ZSCORE))
 
 
 def scatter_hessian(data):
@@ -272,11 +265,86 @@ def stage_start(data, mu):
     yh = 1.0 - (1.0 + cache.a @ th)
     if yh.min() > 1e-6:
         th = th / yh.min()
-    stage = 1e2
+    stage = 1e4
     while stage < mu:
         th, _, _ = hinge_minimize(th, cache, stage)
         stage *= 100.0
     return th, cache
+
+
+def reference_warm_start(data, lam, alpha, mu0):
+    """(theta0 vector, z0) of a warm start whose continuation starts at penalty mu0,
+    stepped by the reference hinge loop."""
+    cache = build_design(data)
+    A, G = cache.a, cache.G
+    th = ls_qssvm_fit(data, c_penalty=100.0).to_vector()
+    yh = 1.0 - (1.0 + A @ th)
+    if yh.min() > 1e-6:
+        th = th / yh.min()
+    tau = np.sqrt(2.0 * lam * alpha)
+    mu, fmax_prev = mu0, None
+    while True:
+        th = reference_hinge_minimize(th, A, G, mu)
+        F = 1.0 + A @ th
+        fmax = max(F.max(), 0.0)
+        if fmax <= tau / 4.0 or mu >= 1e8:
+            break
+        if fmax_prev is not None and fmax > 0.9 * fmax_prev:
+            break
+        fmax_prev = fmax
+        mu *= 100.0
+    act = np.flatnonzero((F > 0.0) & (F < tau))
+    act = act[np.sort(np.unique(A[act], axis=0, return_index=True)[1])]
+    theta0, z0 = _active_set_polish(th, act, cache, tau, alpha)
+    return theta0.to_vector(), z0
+
+
+def spy_stages(monkeypatch):
+    """List that collects (mu, final margins) of every `_hinge_sq_minimize` call."""
+    stages = []
+    real = qs_baseline._hinge_sq_minimize
+
+    def spy(th, F, Gth, A, G, mu, **kwargs):
+        out = real(th, F, Gth, A, G, mu, **kwargs)
+        stages.append((mu, out[1]))
+        return out
+
+    monkeypatch.setattr(qs_baseline, "_hinge_sq_minimize", spy)
+    return stages
+
+
+class TestContinuationStart:
+    @pytest.mark.parametrize("seed, trial", [(77, t) for t in range(8)] + [(9000, 87)])
+    def test_same_warm_start_as_a_continuation_from_1e2(self, monkeypatch, seed, trial):
+        # The stage at mu = 1e2 hands the polish the same active set as the LS point
+        # does, so dropping it moves no bit of the iris warm start.
+        data = iris_train(seed, trial)
+        expect_th, expect_z = reference_warm_start(data, 100.0, 1e-6, mu0=1e2)
+        stages = spy_stages(monkeypatch)
+        theta0, z0 = warm_start_point(build_design(data), 100.0, 1e-6)
+        assert stages[0][0] == 1e4 and all(mu >= 1e4 for mu, _ in stages)
+        np.testing.assert_array_equal(theta0.to_vector(), expect_th)
+        np.testing.assert_array_equal(z0, expect_z)
+
+    def test_noisy_draw_stops_on_the_violation_test(self, monkeypatch):
+        # 600 per class with noise 0.3: the mu = 1e6 stage ends with violations below
+        # tau / 4 (5.0e-4 against 3.5e-3), and the polish refuses the hundreds of
+        # margins left in the band, so z0 holds the penalty duals mu * max(F, 0).
+        data = generate(GenSpec(kind="circular", n_per_class=600, seed=100, noise=0.3))
+        cache = build_design(data)
+        lam, alpha = 100.0, 1e-6
+        tau = np.sqrt(2.0 * lam * alpha)
+        stages = spy_stages(monkeypatch)
+        theta0, z0 = warm_start_point(cache, lam, alpha)
+        assert [mu for mu, _ in stages] == [1e4, 1e6]
+        fmax = [float(np.maximum(F, 0.0).max()) for _, F in stages]
+        assert fmax[0] > tau / 4.0 >= fmax[1]
+        F = stages[-1][1]
+        assert np.count_nonzero((F > 0.0) & (F < tau)) > cache.d
+        expect = 1e6 * np.maximum(F, 0.0)
+        expect[F + alpha * expect >= tau] = 0.0
+        np.testing.assert_array_equal(z0, expect)
+        np.testing.assert_array_equal(margins(theta0, cache), F)
 
 
 class TestHingeLoop:

@@ -28,6 +28,7 @@ class TestFit:
         assert code == 0
         rep = json.loads(open(out).read())
         assert rep["status"] == "converged"
+        assert rep["constant_surface"] is False
         assert rep["certificate"]["passed"] is True
         assert len(rep["theta"]["wtri"]) == 3
         assert "train_acc=100.00%" in capsys.readouterr().out
@@ -60,6 +61,7 @@ class TestCheck:
         assert code == 0
         cert = json.loads(open(out).read())
         assert cert["solve"]["status"] == "converged"
+        assert cert["solve"]["constant_surface"] is False
         assert cert["certificate"]["passed"] is True
         assert cert["alpha_margin_ok"] is True
         assert cert["rank_check"]["independent"] is True

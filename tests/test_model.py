@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import quadsurf
-from quadsurf import (Dataset, DesignCache, InputError, SurfaceParams, build_design, margins,
-                      param_dim, predict, predict_many, smooth_gradient, smooth_value, total_loss)
+from quadsurf import (Dataset, DesignCache, InputError, SolverConfig, SurfaceParams,
+                      build_design, margins, param_dim, predict, predict_many, smooth_gradient,
+                      smooth_value, solve, total_loss)
 from quadsurf.model import _packed_features, _pairs, _per_sample_maps
 
-from conftest import random_dataset
+from conftest import iris_train, random_dataset
 
 
 def fd_gradient(fun, x, h=1e-5):
@@ -227,7 +228,20 @@ class TestTotalLoss:
             theta = SurfaceParams.from_vector(v, small_cache.m)
             lv = total_loss(theta, small_cache, lam=0.5)
             F = margins(theta, small_cache)
-            assert lv.count == sum(1 for t in F if t > 0)
+            assert lv.count == sum(1 for t in F if t > 1e-7)
+
+    def test_rounding_at_a_certified_point_is_no_violation(self):
+        # Every margin of this certified iris point is met: its zero margins land
+        # within 1e-13 of 0, several of them above it, and none counts.
+        data = iris_train(77, 0)
+        rep = solve(data, SolverConfig(lam=100.0))
+        assert rep.certificate.passed
+        cache = build_design(data)
+        F = margins(rep.final.theta, cache)
+        assert np.count_nonzero(F > 0.0) > 0 and F.max() < 1e-13
+        lv = total_loss(rep.final.theta, cache, lam=100.0)
+        assert lv.count == 0
+        assert lv.total == lv.smooth
 
     def test_rejects_bad_lambda(self, small_cache):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from quadsurf import (Dataset, GenSpec, SolveStatus, SolverConfig, SolverState,
 from quadsurf.newton import GAMMA_FLOOR
 from quadsurf.stationarity import solve_symmetric
 
-from conftest import random_dataset
+from conftest import iris_train, random_dataset
 
 
 class TestGammaUpdate:
@@ -171,8 +172,10 @@ class TestSolve:
         rep = solve(circ_data, SolverConfig())
         d = rep.to_dict()
         assert d["status"] == "converged"
-        assert set(d) == {"status", "iters", "residual_trace", "gamma_trace",
-                          "working_sizes", "certificate", "theta", "wall_time_s"}
+        assert set(d) == {"status", "constant_surface", "iters", "residual_trace",
+                          "gamma_trace", "working_sizes", "certificate", "theta",
+                          "wall_time_s"}
+        assert d["constant_surface"] is False
         assert len(d["theta"]["wtri"]) == 3
         rep.to_json()
 
@@ -188,6 +191,35 @@ class TestSolve:
         rep = solve(dup, SolverConfig())
         assert rep.status in set(SolveStatus)
         assert np.all(np.isfinite(rep.final.z))
+
+
+class TestConstantSurface:
+    def test_certified_constant_surface_is_flagged(self):
+        # the served surface of predict-row set-up seed 67 (circular classes, 1000 per
+        # class, noise 0.3) certifies at W = 0, b = 0, c = 1: every point labeled -1
+        seed = int(np.random.SeedSequence([67, 0]).generate_state(1)[0])
+        data = generate(GenSpec(kind="circular", n_per_class=1000, seed=seed, noise=0.3))
+        rep = solve(data, SolverConfig(lam=100.0))
+        assert rep.status is SolveStatus.CONVERGED and rep.certificate.passed
+        assert rep.constant_surface
+        assert rep.to_dict()["constant_surface"] is True
+
+    def test_iris_fit_is_not_constant(self):
+        rep = solve(iris_train(77, 0), SolverConfig(lam=100.0))
+        assert rep.status is SolveStatus.CONVERGED and rep.certificate.passed
+        assert not rep.constant_surface
+
+    def test_coefficients_compared_with_the_certificate_tolerance(self, circ_data):
+        rep = solve(circ_data, SolverConfig(lam=100.0))
+        tol = rep.certificate.tolerance
+
+        def with_coefficients(size):
+            theta = SurfaceParams(np.array([size, -size, 0.0]), np.array([0.0, size]), 1.0)
+            return dataclasses.replace(rep, final=dataclasses.replace(rep.final, theta=theta))
+
+        assert with_coefficients(3e-12).constant_surface  # as at set-up seed 420
+        assert with_coefficients(tol).constant_surface
+        assert not with_coefficients(2.0 * tol).constant_surface
 
 
 class TestSolveFailures:
