@@ -1,7 +1,7 @@
 """Training on the three synthetic families with the damped Newton solver.
 
 Each dataset is separable by construction (a line, a circle, a parabola),
-so a 100%-accuracy surface exists.  The solver warm-starts from a
+so a 100%-accuracy surface exists.  The solver starts from a
 least-squares fit refined by a squared-hinge continuation and then drives
 the stationarity residual below 1e-8, certifying the result.
 """

@@ -9,7 +9,7 @@ stationary for.  Rank and curvature checks qualify the working set itself.
 import numpy as np
 
 from quadsurf import (GenSpec, SolverConfig, alpha_bounds, assumption_rank_check,
-                      build_design, generate, index_sets, margins, pstationary_check,
+                      build_design, generate, margins, pstationary_check,
                       recover_multiplier, residual, second_order_check, solve)
 
 data = generate(GenSpec(kind="convex2d", n_per_class=50, seed=1))
@@ -19,13 +19,11 @@ cache = build_design(data)
 theta, z = report.final.theta, report.final.z
 print("solve:", report.status.value, "residual", report.final.residual.norm)
 
-F = margins(theta, cache)
-sets = index_sets(F, z, config.alpha, config.lam)
+parts = residual(theta, z, config.alpha, config.lam, cache)
+sets = parts.sets
 print("\nindex sets: |t_o| =", sets.t_o.size, "|t_1| =", sets.t_1.size,
       "|t_2| =", sets.t_2.size, "|t_3| =", sets.t_3.size)
 print("working set:", sets.working)
-
-parts = residual(theta, z, sets.working, cache)
 print("residual blocks: grad %.2e  margins %.2e  off-duals %.2e" % (
     np.linalg.norm(parts.grad_part), np.linalg.norm(parts.margin_part),
     np.linalg.norm(parts.dual_part)))
@@ -33,7 +31,7 @@ print("residual blocks: grad %.2e  margins %.2e  off-duals %.2e" % (
 cert = pstationary_check(theta, z, config.alpha, config.lam, cache, tol=1e-6)
 print("\ncertificate:", cert.to_json(indent=2))
 
-a1, a2, astar = alpha_bounds(F, z, config.lam, atol=1e-6)
+a1, a2, astar = alpha_bounds(margins(theta, cache), z, config.lam, atol=1e-6)
 print(f"step-size interval: alpha_1={a1:.3e} alpha_2={a2:.3e} "
       f"alpha_star={astar:.3e} (alpha used: {config.alpha:g})")
 

@@ -15,7 +15,7 @@ from .stationarity import (IndexSets, MultiplierRecovery, PStatCertificate, Resi
                            index_sets, pstationary_check, recover_multiplier, residual,
                            saddle_matrix, second_order_check)
 from .newton import (RateProbe, SingularSystemError, SolveReport, SolveStatus, SolverConfig,
-                     SolverState, WarmStart, gamma_update, newton_direction, rate_probe, solve)
+                     SolverState, gamma_update, newton_direction, rate_probe, solve)
 from .baseline import accuracy, ls_qssvm_fit, lsq_objective_gradient, warm_start_point
 from .datagen import GenSpec, Kind, generate, generating_surface
 from .bench import (BenchProtocol, Normalize, apply_normalizer, boundary_grid, compare,

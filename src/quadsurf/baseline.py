@@ -7,18 +7,16 @@ so the fit is a single symmetric positive-definite solve.  `warm_start_point`
 refines that fit into the starting pair (theta0, z0) of the Newton solver.
 
 The warm start minimizes a squared-hinge objective at a rising penalty mu,
-from 1e4 up, each stage handing its point, margins and G theta to the next.
-A first stage at 1e2 was dropped: it changed no iris fit, since the polish
-depends only on the active set it is handed and that set stayed the same,
-yet it cost 5.15 of 18.4 exact solves per fit.  The Newton passes solve
-the exact Newton matrix plus a guard at rounding scale, so a pass on a
-settled active set lands on the stage's minimizer.  Only when
-LAPACK refuses or flags that solve is the step taken from the matrix with
-a larger ridge instead; no step comes from a flagged exact attempt.  Both
-shifts are needed: with no guard, one of 96 noisy circular draws went from
-converged to diverged, and with the guard alone, 11 of 20 designs of
-collinear points (whose exact matrices are all singular) ended as singular
-systems.
+from 1e4 up, each stage handing its point, margins and G theta to the next;
+the polish that ends it depends only on the active set it is handed.  The
+Newton passes solve the exact Newton matrix plus a guard at rounding
+scale, so a pass on a settled active set lands on the stage's minimizer.
+Only when LAPACK refuses or flags that solve is the step taken from the
+matrix with a larger ridge instead; no step comes from a flagged exact
+attempt.  Both shifts are needed: with no guard, one of 96 noisy circular
+draws went from converged to diverged, and with the guard alone, 11 of 20
+designs of collinear points (whose exact matrices are all singular) ended
+as singular systems.
 """
 
 import math
@@ -91,17 +89,6 @@ def _hinge_sq_objective(th, F, Gth, mu):
     return 0.5 * th @ Gth + 0.5 * mu * (Fp @ Fp)
 
 
-def _hinge_sq_value(th, A, G, mu):
-    """(value, F, G th) of the squared-hinge objective at th, with F = 1 + A th.
-
-    The margins and the product G th come back with the value, so the
-    Newton pass that starts from an accepted trial point reuses them.
-    """
-    F = 1.0 + A @ th
-    Gth = G @ th
-    return _hinge_sq_objective(th, F, Gth, mu), F, Gth
-
-
 def _hinge_sq_minimize(th, F, Gth, A, G, mu, passes=80):
     """Newton with Armijo backtracking on the squared-hinge surface objective.
 
@@ -137,7 +124,10 @@ def _hinge_sq_minimize(th, F, Gth, A, G, mu, passes=80):
         t = 1.0
         th_new = th + step
         while True:
-            new_val, F_new, Gth_new = _hinge_sq_value(th_new, A, G, mu)
+            # the next pass starts from the margins and G th of the accepted trial
+            F_new = 1.0 + A @ th_new
+            Gth_new = G @ th_new
+            new_val = _hinge_sq_objective(th_new, F_new, Gth_new, mu)
             # past the last trial step (2**-30) the step 2**-31 is taken as is
             if new_val <= val + 1e-4 * t * slope or t < 2.0**-30:
                 break
@@ -156,9 +146,7 @@ def warm_start_point(cache: DesignCache, lam: float, alpha: float, polish: bool 
     Pipeline: least-squares surface fit (C = 100), rescaled to unit minimum
     margin when separating, then a squared-hinge continuation with the penalty
     raised 100x per stage from 1e4 to at most 1e8, until margin violations fit
-    inside the working band (0, sqrt(2*alpha*lam)) or stop shrinking.  It
-    starts at 1e4: a stage at 1e2 changed no active set handed to the polish
-    on iris and took 5.15 exact solves per fit.  Each
+    inside the working band (0, sqrt(2*alpha*lam)) or stop shrinking.  Each
     stage starts from the point, margins F and product G theta on which the
     previous one ended, and takes exact Newton steps (see
     `_hinge_sq_minimize`).  When the continuation reaches band precision and
@@ -198,7 +186,7 @@ def warm_start_point(cache: DesignCache, lam: float, alpha: float, polish: bool 
         f = np.sort(F[active0])
         if np.any(f[1:] - f[:-1] <= 1e-12 * f[1:]):
             active0 = active0[np.sort(np.unique(A[active0], axis=0, return_index=True)[1])]
-        polished = _active_set_polish(th, active0, cache, tau, alpha)
+        polished = _active_set_polish(active0, cache, tau, alpha)
         if polished is not None:
             return polished
 
@@ -207,7 +195,7 @@ def warm_start_point(cache: DesignCache, lam: float, alpha: float, polish: bool 
     return SurfaceParams.from_vector(th, cache.m), z0
 
 
-def _active_set_polish(th, act, cache, tau, alpha, passes=40):
+def _active_set_polish(act, cache, tau, alpha, passes=40):
     """Exact saddle refinements on the identified active set.
 
     Solves min_th f subject to zero margins on `act`, dropping indices whose

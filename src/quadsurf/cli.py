@@ -37,9 +37,6 @@ def _add_solver_flags(p):
     p.add_argument("--eps", type=float, default=base.eps,
                    help=f"stop tolerance on the residual norm (default {base.eps})")
     p.add_argument("--max-iter", type=int, default=base.max_iter, help="Newton step budget")
-    p.add_argument("--warm-start", choices=["zeros", "least_squares"],
-                   default=base.warm_start.value,
-                   help="initialization (default least_squares)")
 
 
 def _add_data_flags(p):
@@ -50,8 +47,7 @@ def _add_data_flags(p):
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(lam=args.lam, alpha=args.alpha, tau=args.tau, rho=args.rho,
-                        gamma_init=args.gamma0, eps=args.eps, max_iter=args.max_iter,
-                        warm_start=args.warm_start)
+                        gamma_init=args.gamma0, eps=args.eps, max_iter=args.max_iter)
 
 
 def _class_pair(args):

@@ -25,18 +25,13 @@ import scipy.linalg
 from scipy.linalg import LinAlgError, LinAlgWarning
 
 from .baseline import warm_start_point
-from .model import Dataset, DesignCache, SurfaceParams, build_design, margins
-from .stationarity import (IndexSets, PStatCertificate, ResidualParts, index_sets,
-                           pstationary_check, residual, saddle_matrix, solve_symmetric)
+from .model import Dataset, DesignCache, SurfaceParams, build_design
+from .stationarity import (IndexSets, PStatCertificate, ResidualParts, pstationary_check,
+                           residual, saddle_matrix, solve_symmetric)
 
 GAMMA_FLOOR = 1e-14
 SAFEGUARD_WINDOW = 5  # consecutive residual increases that end a solve as diverged
 RATE_CAP, RATE_FLOOR, RATE_WINDOW = 1e-2, 1e-14, 5  # see rate_probe
-
-
-class WarmStart(enum.Enum):
-    ZEROS = "zeros"
-    LEAST_SQUARES = "least_squares"
 
 
 class SolveStatus(enum.Enum):
@@ -57,7 +52,6 @@ class SolverConfig:
     gamma_init       initial perturbation
     eps              stop tolerance on the residual norm
     max_iter         Newton step budget
-    warm_start       zeros or the closed-form least-squares fit
     """
 
     lam: float = 10.0
@@ -67,7 +61,6 @@ class SolverConfig:
     gamma_init: float = 0.1
     eps: float = 1e-8
     max_iter: int = 100
-    warm_start: WarmStart = WarmStart.LEAST_SQUARES
 
     def __post_init__(self):
         if not (self.lam > 0 and self.alpha > 0 and self.rho > 0 and self.gamma_init > 0):
@@ -78,8 +71,6 @@ class SolverConfig:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if isinstance(self.warm_start, str):
-            object.__setattr__(self, "warm_start", WarmStart(self.warm_start))
 
 
 @dataclass(frozen=True)
@@ -87,9 +78,13 @@ class SolverState:
     theta: SurfaceParams
     z: np.ndarray
     gamma: float
-    working: IndexSets
     residual: ResidualParts
     iter: int
+
+    @property
+    def working(self) -> IndexSets:
+        """Index sets of the iterate, as its residual classified them."""
+        return self.residual.sets
 
 
 class SingularSystemError(RuntimeError):
@@ -179,35 +174,30 @@ class SolveReport:
 
 
 def solve(data: Dataset, config: SolverConfig = SolverConfig(),
-          theta0: SurfaceParams = None, z0: np.ndarray = None) -> SolveReport:
+          start: tuple = None) -> SolveReport:
     """Run the damped Newton iteration until the residual drops below eps.
 
-    The design is built from `data` once and shared with the warm start.
-    The stop test precedes the first step, so with eps = inf the initial
-    point is returned untouched.  Iterates leaving the finite range or a
-    run of SAFEGUARD_WINDOW consecutive residual increases end the solve
-    with status `diverged`; an unfactorable system ends it with
+    `start` is an initial pair (theta0, z0), as `warm_start_point` returns
+    it; by default the warm start is run on the design, which is built from
+    `data` once.  The stop test precedes the first step, so with eps = inf
+    the initial point is returned untouched.  Iterates leaving the finite
+    range or a run of SAFEGUARD_WINDOW consecutive residual increases end
+    the solve with status `diverged`; an unfactorable system ends it with
     `singular_system` and the partial trace retained, as does a failed
-    warm-start solve, at theta = 0 before any step.
+    solve in the warm start, at theta = 0 and z = 0 before any step.
     """
     t0 = time.perf_counter()
     cache = build_design(data)
 
     status = None  # set before the loop only when the warm start fails
-    if theta0 is None:
-        if config.warm_start is WarmStart.LEAST_SQUARES:
-            try:
-                theta, z_start = warm_start_point(cache, config.lam, config.alpha)
-            except LinAlgError:
-                theta, z_start = SurfaceParams.zeros(cache.m), None
-                status = SolveStatus.SINGULAR_SYSTEM
-            if z0 is None:
-                z0 = z_start
-        else:
-            theta = SurfaceParams.zeros(cache.m)
-    else:
-        theta = theta0
-    z = np.zeros(cache.n) if z0 is None else np.asarray(z0, dtype=np.float64).copy()
+    if start is None:
+        try:
+            start = warm_start_point(cache, config.lam, config.alpha)
+        except LinAlgError:
+            start = SurfaceParams.zeros(cache.m), np.zeros(cache.n)
+            status = SolveStatus.SINGULAR_SYSTEM
+    theta, z = start
+    z = np.asarray(z, dtype=np.float64).copy()
     if z.shape != (cache.n,):
         raise ValueError(f"z0 has shape {z.shape}, expected ({cache.n},)")
 
@@ -217,11 +207,10 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
     consecutive_up = 0
     k = 0
     while True:
-        F = margins(theta, cache)
-        sets = index_sets(F, z, config.alpha, config.lam)
-        res = residual(theta, z, sets.working, cache)
+        res = residual(theta, z, config.alpha, config.lam, cache)
         residual_trace.append(res.norm)
-        working_sizes.append(int(sets.working.size))
+        working = res.sets.working
+        working_sizes.append(int(working.size))
 
         if status is not None:
             break
@@ -244,7 +233,7 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
 
         gamma = gamma_update(gamma, config.tau, config.rho, res.norm)
         gamma_trace.append(gamma)
-        state = SolverState(theta=theta, z=z, gamma=gamma, working=sets, residual=res, iter=k)
+        state = SolverState(theta=theta, z=z, gamma=gamma, residual=res, iter=k)
         try:
             d_theta, d_z_working = newton_direction(state, cache)
         except SingularSystemError as err:
@@ -254,11 +243,11 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
 
         theta = SurfaceParams.from_vector(theta.to_vector() + d_theta, cache.m)
         z_new = np.zeros(cache.n)
-        z_new[sets.working] = z[sets.working] + d_z_working
+        z_new[working] = z[working] + d_z_working
         z = z_new
         k += 1
 
-    final = SolverState(theta=theta, z=z, gamma=gamma, working=sets, residual=res, iter=k)
+    final = SolverState(theta=theta, z=z, gamma=gamma, residual=res, iter=k)
     certificate = pstationary_check(theta, z, config.alpha, config.lam, cache,
                                     tol=config.eps * 10.0)
     return SolveReport(final=final, residual_trace=residual_trace, gamma_trace=gamma_trace,

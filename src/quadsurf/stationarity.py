@@ -2,10 +2,11 @@
 
 A pair (theta, z) is declared stationary when the gradient balance
 ``grad f(theta) + a' z = 0`` holds and every margin lies in the prox of
-its shifted value ``F_i + alpha * z_i``.  For a fixed working set T this
-is equivalent to a zero of the block residual
+its shifted value ``F_i + alpha * z_i``.  With T the working set of the
+iterate itself, classified from its own (F(theta), z), this is equivalent
+to a zero of the block residual
 
-    Psi(theta, z; T) = ( grad f + a_T' z_T,  F(theta)_T,  z_{T^c} ),
+    Psi(theta, z) = ( grad f + a_T' z_T,  F(theta)_T,  z_{T^c} ),
 
 so the residual norm doubles as a computable optimality certificate.
 """
@@ -75,35 +76,37 @@ def index_sets(F: np.ndarray, z: np.ndarray, alpha: float, lam: float) -> IndexS
 
 @dataclass(frozen=True)
 class ResidualParts:
-    """Blocks of the stationarity residual for a given working set."""
+    """Blocks of the stationarity residual and the index sets they were taken over."""
 
     grad_part: np.ndarray
     margin_part: np.ndarray
     dual_part: np.ndarray
     norm: float
+    sets: IndexSets
 
 
-def residual(theta: SurfaceParams, z: np.ndarray, working: np.ndarray,
+def residual(theta: SurfaceParams, z: np.ndarray, alpha: float, lam: float,
              cache: DesignCache) -> ResidualParts:
-    """Evaluate the block residual (gradient balance, active margins, off-set duals)."""
+    """Classify the samples at (theta, z) and evaluate the block residual over
+    that working set (gradient balance, active margins, off-set duals)."""
     z = np.asarray(z, dtype=np.float64).ravel()
     if z.shape[0] != cache.n:
         raise ValueError(f"z has length {z.shape[0]}, expected {cache.n}")
-    working = np.asarray(working, dtype=int).ravel()
-    if working.size and (working.min() < 0 or working.max() >= cache.n):
-        raise ValueError("working set indices out of range")
+    F = margins(theta, cache)
+    sets = index_sets(F, z, alpha, lam)
+    working = sets.working
     mask = np.zeros(cache.n, dtype=bool)
     mask[working] = True
 
     g = smooth_gradient(theta, cache)
     if working.size:
         g = g + cache.a[working].T @ z[working]
-    F = margins(theta, cache)
     margin_part = F[working]
     dual_part = z[~mask]
     norm = math.sqrt(float(g @ g) + float(margin_part @ margin_part)
                      + float(dual_part @ dual_part))
-    return ResidualParts(grad_part=g, margin_part=margin_part, dual_part=dual_part, norm=norm)
+    return ResidualParts(grad_part=g, margin_part=margin_part, dual_part=dual_part,
+                         norm=norm, sets=sets)
 
 
 def alpha_bounds(F: np.ndarray, z: np.ndarray, lam: float, atol: float = 0.0):

@@ -13,7 +13,7 @@ import pytest
 
 from quadsurf import (BenchProtocol, Dataset, GenSpec, ProxParams, SolveStatus,
                       SolverConfig, SurfaceParams, accuracy, alpha_bounds, build_design,
-                      generate, index_sets, load_csv, margins, prox_vector,
+                      generate, load_csv, margins, prox_vector,
                       pstationary_check, rate_probe, residual, run_bench, smooth_gradient,
                       smooth_value, solve, warm_start_point)
 from quadsurf.stationarity import saddle_matrix
@@ -51,8 +51,8 @@ def rate_runs():
         for seed in SEEDS:
             data = generate(GenSpec(kind=kind, n_per_class=50, seed=seed))
             cache = build_design(data)
-            theta0, z0 = warm_start_point(cache, RATE_CONFIG.lam, RATE_CONFIG.alpha, polish=False)
-            rep = solve(data, RATE_CONFIG, theta0=theta0, z0=z0)
+            start = warm_start_point(cache, RATE_CONFIG.lam, RATE_CONFIG.alpha, polish=False)
+            rep = solve(data, RATE_CONFIG, start=start)
             runs[(kind, seed)] = (data, rep)
     return runs
 
@@ -195,18 +195,17 @@ def test_criterion_6_residual_equivalence():
         lam = 1.0
         _, _, astar = alpha_bounds(F, z, lam, atol=1e-9)
         alpha = 0.5 * min(astar, 1.0)
-        sets = index_sets(F, z, alpha, lam)
-        if sorted(sets.working.tolist()) != sorted(T.tolist()):
+        res = residual(theta, z, alpha, lam, cache)
+        if sorted(res.sets.working.tolist()) != sorted(T.tolist()):
             continue
         made += 1
 
-        res = residual(theta, z, sets.working, cache)
         cert = pstationary_check(theta, z, alpha, lam, cache, tol=1e-8)
         ok &= res.norm < 1e-10 and cert.passed
         for j in np.setdiff1d(np.arange(n), T):
             z2 = z.copy()
             z2[j] += 0.1
-            res2 = residual(theta, z2, sets.working, cache)
+            res2 = residual(theta, z2, alpha, lam, cache)
             ok &= res2.norm - res.norm >= 0.1 - 1e-9
         if not ok:
             break

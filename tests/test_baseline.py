@@ -97,11 +97,11 @@ def scatter_hessian(data):
 
 
 def polish_setup(data, lam):
-    """(theta0 vector, polished z0, cache, tau, alpha) of a fit whose polish succeeds."""
+    """(polished z0, cache, tau, alpha) of a fit whose polish succeeds."""
     alpha = 1e-6
     cache = build_design(data)
-    theta0, z0 = warm_start_point(cache, lam, alpha)
-    return theta0.to_vector(), z0, cache, np.sqrt(2.0 * alpha * lam), alpha
+    _, z0 = warm_start_point(cache, lam, alpha)
+    return z0, cache, np.sqrt(2.0 * alpha * lam), alpha
 
 
 class TestLsqFit:
@@ -188,9 +188,9 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("failure", ["raises", "non_finite"])
     def test_polish_gives_up_on_a_failed_saddle_solve(self, circ_data, monkeypatch, failure):
-        th, z0, cache, tau, alpha = polish_setup(circ_data, 10.0)
+        z0, cache, tau, alpha = polish_setup(circ_data, 10.0)
         act = np.flatnonzero(z0)
-        assert _active_set_polish(th, act, cache, tau, alpha) is not None
+        assert _active_set_polish(act, cache, tau, alpha) is not None
 
         def broken(K, rhs, positive_definite=False):
             if failure == "raises":
@@ -198,17 +198,17 @@ class TestWarmStart:
             return np.full_like(rhs, np.nan)
 
         monkeypatch.setattr(qs_baseline, "solve_symmetric", broken)
-        assert _active_set_polish(th, act, cache, tau, alpha) is None
+        assert _active_set_polish(act, cache, tau, alpha) is None
 
     def test_polish_activates_an_in_band_margin(self):
         # without sample 16 the refit leaves another margin inside (0, tau), so
         # the polish must activate it to reach a consistent pair, which takes a
         # second pass: a budget of one pass ends unresolved
         data = generate(GenSpec(kind="circular", n_per_class=50, seed=2))
-        th, z0, cache, tau, alpha = polish_setup(data, 10.0)
+        z0, cache, tau, alpha = polish_setup(data, 10.0)
         start = np.setdiff1d(np.flatnonzero(z0), [16])
-        assert _active_set_polish(th, start, cache, tau, alpha, passes=1) is None
-        theta, z = _active_set_polish(th, start, cache, tau, alpha)
+        assert _active_set_polish(start, cache, tau, alpha, passes=1) is None
+        theta, z = _active_set_polish(start, cache, tau, alpha)
         support = np.flatnonzero(z)
         assert np.setdiff1d(support, start).size == 1
         F = margins(theta, cache)
@@ -295,7 +295,7 @@ def reference_warm_start(data, lam, alpha, mu0):
         mu *= 100.0
     act = np.flatnonzero((F > 0.0) & (F < tau))
     act = act[np.sort(np.unique(A[act], axis=0, return_index=True)[1])]
-    theta0, z0 = _active_set_polish(th, act, cache, tau, alpha)
+    theta0, z0 = _active_set_polish(act, cache, tau, alpha)
     return theta0.to_vector(), z0
 
 

@@ -47,11 +47,11 @@ class TestFit:
         assert main(["fit", path, "--lambda", "100"]) == 3
         assert "status=singular_system iters=0" in capsys.readouterr().out
 
-    def test_unconverged_exit_three(self, circ_csv):
+    def test_unconverged_exit_three(self, circ_csv, capsys):
         # an absurd parameter combination cannot converge in one iteration
-        code = main(["fit", circ_csv, "--warm-start", "zeros", "--lambda", "1e-4",
-                     "--alpha", "1e8", "--max-iter", "1"])
+        code = main(["fit", circ_csv, "--lambda", "1e-4", "--alpha", "1e8", "--max-iter", "1"])
         assert code == 3
+        assert "status=max_iter iters=1" in capsys.readouterr().out
 
 
 class TestCheck:

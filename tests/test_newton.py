@@ -1,16 +1,18 @@
 import dataclasses
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
+import quadsurf.model as qs_model
 import quadsurf.newton as qs_newton
 from quadsurf import (Dataset, GenSpec, SolveStatus, SolverConfig, SolverState,
                       SurfaceParams, accuracy, build_design, gamma_update, generate,
                       index_sets, load_csv, margins, newton_direction, rate_probe, residual,
-                      solve)
+                      solve, warm_start_point)
 from quadsurf.newton import GAMMA_FLOOR
 from quadsurf.stationarity import solve_symmetric
 
@@ -35,10 +37,8 @@ class TestGammaUpdate:
 
 
 def make_state(theta, z, cache, alpha, lam, gamma):
-    F = margins(theta, cache)
-    sets = index_sets(F, z, alpha, lam)
-    res = residual(theta, z, sets.working, cache)
-    return SolverState(theta=theta, z=z, gamma=gamma, working=sets, residual=res, iter=0)
+    res = residual(theta, z, alpha, lam, cache)
+    return SolverState(theta=theta, z=z, gamma=gamma, residual=res, iter=0)
 
 
 class TestNewtonDirection:
@@ -61,10 +61,7 @@ class TestNewtonDirection:
         from quadsurf import alpha_bounds
         _, _, astar = alpha_bounds(margins(theta, cache), z, lam=1.0, atol=1e-9)
         alpha = 0.5 * min(astar, 1.0)
-        F = margins(theta, cache)
-        sets = index_sets(F, z, alpha, 1.0)
-        res = residual(theta, z, sets.working, cache)
-        state = SolverState(theta=theta, z=z, gamma=1e-3, working=sets, residual=res, iter=0)
+        state = make_state(theta, z, cache, alpha=alpha, lam=1.0, gamma=1e-3)
         d_theta, d_zw = newton_direction(state, cache)
         assert np.linalg.norm(d_theta) < 1e-9
         assert np.linalg.norm(d_zw) < 1e-9
@@ -133,11 +130,10 @@ class TestSolve:
         assert len(rep.residual_trace) == 1
 
     def test_gamma_rule_holds_along_trace(self, circ_data):
-        from quadsurf.baseline import warm_start_point
         cache = build_design(circ_data)
         cfg = SolverConfig(eps=1e-12, max_iter=30)
         th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
-        rep = solve(circ_data, cfg, theta0=th0, z0=z0)
+        rep = solve(circ_data, cfg, start=(th0, z0))
         gamma_prev = cfg.gamma_init
         for r, g in zip(rep.residual_trace, rep.gamma_trace):
             assert g == pytest.approx(max(min(cfg.tau * gamma_prev, cfg.rho * r),
@@ -145,18 +141,16 @@ class TestSolve:
             gamma_prev = g
 
     def test_off_working_duals_are_zeroed(self, circ_data):
-        from quadsurf.baseline import warm_start_point
         cache = build_design(circ_data)
         cfg = SolverConfig(max_iter=3, eps=1e-16)
         th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
-        rep = solve(circ_data, cfg, theta0=th0, z0=z0)
+        rep = solve(circ_data, cfg, start=(th0, z0))
         z = rep.final.z
         outside = np.setdiff1d(np.arange(cache.n), rep.final.working.working)
         np.testing.assert_array_equal(z[outside], 0.0)
 
     def test_step_zeroes_duals_off_its_working_set(self, circ_data):
         # a step gives no direction to the duals off its working set: it resets them to 0
-        from quadsurf.baseline import warm_start_point
         cache = build_design(circ_data)
         cfg = SolverConfig(max_iter=1, eps=1e-16)
         th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
@@ -164,7 +158,7 @@ class TestSolve:
         sets = index_sets(margins(th0, cache), z0, cfg.alpha, cfg.lam)
         outside = np.setdiff1d(np.arange(cache.n), sets.working)
         assert outside.size > 0
-        rep = solve(circ_data, cfg, theta0=th0, z0=z0)
+        rep = solve(circ_data, cfg, start=(th0, z0))
         assert rep.final.iter == 1
         np.testing.assert_array_equal(rep.final.z[outside], 0.0)
 
@@ -191,6 +185,53 @@ class TestSolve:
         rep = solve(dup, SolverConfig())
         assert rep.status in set(SolveStatus)
         assert np.all(np.isfinite(rep.final.z))
+
+
+def noisy_circle():
+    """A noisy circular draw whose default fit takes two Newton steps."""
+    return generate(GenSpec(kind="circular", n_per_class=100, seed=1, noise=0.2))
+
+
+def assert_same_fit(rep, expect):
+    np.testing.assert_array_equal(rep.final.theta.to_vector(), expect.final.theta.to_vector())
+    np.testing.assert_array_equal(rep.final.z, expect.final.z)
+    assert rep.status is expect.status and rep.final.iter == expect.final.iter
+    assert rep.residual_trace == expect.residual_trace
+    assert rep.working_sizes == expect.working_sizes
+    assert rep.certificate == expect.certificate
+
+
+class TestStart:
+    @pytest.mark.parametrize("data, cfg", [
+        (iris_train(77, 0), SolverConfig(lam=100.0)),
+        (noisy_circle(), SolverConfig()),
+    ], ids=["iris", "noisy_circle"])
+    def test_given_warm_start_matches_default(self, data, cfg):
+        start = warm_start_point(build_design(data), cfg.lam, cfg.alpha)
+        assert_same_fit(solve(data, cfg, start=start), solve(data, cfg))
+
+    def test_wrong_dual_shape_raises(self, circ_data):
+        cfg = SolverConfig()
+        theta0, z0 = warm_start_point(build_design(circ_data), cfg.lam, cfg.alpha)
+        with pytest.raises(ValueError, match="z0 has shape"):
+            solve(circ_data, cfg, start=(theta0, z0[:-1]))
+
+    def test_one_margin_evaluation_per_pass(self, monkeypatch):
+        # each pass reads the margins of its iterate once, and the certificate once more
+        calls = []
+        orig = qs_model.margins
+
+        def spy(theta, cache):
+            calls.append(1)
+            return orig(theta, cache)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("quadsurf") and mod is not None \
+                    and mod.__dict__.get("margins") is orig:
+                monkeypatch.setattr(mod, "margins", spy)
+        rep = solve(noisy_circle(), SolverConfig())
+        assert rep.status is SolveStatus.CONVERGED and rep.final.iter == 2
+        assert len(calls) == rep.final.iter + 2
 
 
 class TestConstantSurface:
@@ -224,7 +265,6 @@ class TestConstantSurface:
 
 class TestSolveFailures:
     def test_singular_step_keeps_partial_trace(self, circ_data, monkeypatch):
-        from quadsurf.baseline import warm_start_point
         cache = build_design(circ_data)
         cfg = SolverConfig(eps=1e-12, max_iter=30)
         th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
@@ -237,7 +277,7 @@ class TestSolveFailures:
             return solve_symmetric(K, rhs, positive_definite)
 
         monkeypatch.setattr(qs_newton, "solve_symmetric", fail_second_step)
-        rep = solve(circ_data, cfg, theta0=th0, z0=z0)
+        rep = solve(circ_data, cfg, start=(th0, z0))
         assert rep.status is SolveStatus.SINGULAR_SYSTEM
         assert math.isfinite(rep.sigma_min) and rep.sigma_min >= 0.0
         assert rep.final.iter == 1
@@ -279,12 +319,11 @@ class TestRateProbe:
         assert pr.inconclusive
 
     def test_solver_trace_quadratic(self):
-        from quadsurf.baseline import warm_start_point
         data = generate(GenSpec(kind="convex2d", n_per_class=50, seed=2))
         cache = build_design(data)
         cfg = SolverConfig(alpha=4e-6, rho=3.0, eps=1e-10, max_iter=20)
         th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
-        rep = solve(data, cfg, theta0=th0, z0=z0)
+        rep = solve(data, cfg, start=(th0, z0))
         pr = rate_probe(rep.residual_trace)
         assert rep.status is SolveStatus.CONVERGED
         assert pr.quadratic

@@ -81,27 +81,40 @@ class TestIndexSets:
             assert set(s.working) == set(s.t_o) | set(s.t_1)
 
 
+def placed_duals(theta, cache, working, alpha=1.0, lam=1.0):
+    """Duals that put `working` in t_1 (F + alpha z = tau/2) and every other
+    sample in t_3 (F + alpha z = 2 tau)."""
+    tau = math.sqrt(2.0 * alpha * lam)
+    s = np.full(cache.n, 2.0 * tau)
+    s[working] = 0.5 * tau
+    return (s - margins(theta, cache)) / alpha
+
+
 class TestResidual:
     def test_all_zero(self, small_cache):
-        r = residual(SurfaceParams.zeros(3), np.zeros(small_cache.n), np.array([], dtype=int),
+        # at theta = 0 every F_i is 1, beyond the tiny threshold: all samples in t_3
+        r = residual(SurfaceParams.zeros(3), np.zeros(small_cache.n), 1e-9, 1e-9,
                      small_cache)
+        assert r.sets.working.size == 0
         assert r.norm == 0.0
         assert r.margin_part.size == 0
         np.testing.assert_array_equal(r.grad_part, 0.0)
 
     def test_off_working_dual_counts(self, small_cache):
+        # threshold sqrt(2): F_i + z_i = 1 puts i in t_1, 1 + 0.7 puts sample 2 in t_3
         z = np.zeros(small_cache.n)
         z[2] = 0.7
-        r = residual(SurfaceParams.zeros(3), z, np.array([0]), small_cache)
+        r = residual(SurfaceParams.zeros(3), z, 1.0, 1.0, small_cache)
+        np.testing.assert_array_equal(r.sets.t_3, [2])
         assert 0.7 in r.dual_part
         assert r.norm >= 0.7
 
     def test_norm_combines_blocks(self, rng, small_cache):
         v = rng.normal(size=small_cache.d)
         theta = SurfaceParams.from_vector(v, small_cache.m)
-        z = rng.normal(size=small_cache.n)
-        working = np.array([0, 2])
-        r = residual(theta, z, working, small_cache)
+        z = placed_duals(theta, small_cache, [0, 2])
+        r = residual(theta, z, 1.0, 1.0, small_cache)
+        np.testing.assert_array_equal(r.sets.working, [0, 2])
         expect = math.sqrt(np.sum(r.grad_part**2) + np.sum(r.margin_part**2)
                            + np.sum(r.dual_part**2))
         assert r.norm == pytest.approx(expect, rel=1e-15)
@@ -111,15 +124,16 @@ class TestResidual:
         cache = build_design(data)
         v = rng.normal(size=cache.d)
         theta = SurfaceParams.from_vector(v, 2)
-        z = rng.normal(size=7)
-        working = np.array([1, 4, 6])
-        r1 = residual(theta, z, working, cache)
+        z = placed_duals(theta, cache, [1, 4, 6])
+        r1 = residual(theta, z, 1.0, 1.0, cache)
+        np.testing.assert_array_equal(r1.sets.working, [1, 4, 6])
 
         perm = rng.permutation(7)
         data2 = Dataset(points=data.points[perm], labels=data.labels[perm])
         cache2 = build_design(data2)
         inv = np.argsort(perm)
-        r2 = residual(theta, z[perm], inv[working], cache2)
+        r2 = residual(theta, z[perm], 1.0, 1.0, cache2)
+        np.testing.assert_array_equal(np.sort(r2.sets.working), np.sort(inv[[1, 4, 6]]))
         assert r1.norm == pytest.approx(r2.norm, rel=1e-12)
 
 
@@ -301,9 +315,8 @@ class TestEquivalence:
             F = margins(theta, cache)
             _, _, astar = alpha_bounds(F, z, lam=1.0, atol=1e-9)
             alpha = 0.5 * min(astar, 1.0)
-            sets = index_sets(F, z, alpha, 1.0)
-            assert sorted(sets.working.tolist()) == sorted(T.tolist())
-            r = residual(theta, z, sets.working, cache)
+            r = residual(theta, z, alpha, 1.0, cache)
+            assert sorted(r.sets.working.tolist()) == sorted(T.tolist())
             cert = pstationary_check(theta, z, alpha, 1.0, cache, tol=1e-8)
             assert r.norm < 1e-10
             assert cert.passed
@@ -316,8 +329,7 @@ class TestEquivalence:
         off = [i for i in range(cache.n) if i not in set(T.tolist())][0]
         z2 = z.copy()
         z2[off] += 0.1
-        sets = index_sets(F, z, alpha, 1.0)
-        r = residual(theta, z2, sets.working, cache)
+        r = residual(theta, z2, alpha, 1.0, cache)
         assert r.norm >= 0.1
         cert = pstationary_check(theta, z2, alpha, 1.0, cache, tol=1e-8)
         assert not cert.passed
