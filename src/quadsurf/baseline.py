@@ -8,25 +8,31 @@ refines that fit into the starting pair (theta0, z0) of the Newton solver.
 
 The warm start minimizes a squared-hinge objective at a rising penalty mu,
 from 1e4 up, each stage handing its point, margins and G theta to the next;
-the polish that ends it depends only on the active set it is handed.  The
-Newton passes solve the exact Newton matrix plus a guard at rounding
-scale, so a pass on a settled active set lands on the stage's minimizer.
-Only when LAPACK refuses or flags that solve is the step taken from the
-matrix with a larger ridge instead; no step comes from a flagged exact
-attempt.  Both shifts are needed: with no guard, one of 96 noisy circular
-draws went from converged to diverged, and with the guard alone, 11 of 20
-designs of collinear points (whose exact matrices are all singular) ended
-as singular systems.
+the polish that ends it depends only on the active set it is handed.
+
+Each solve judges what `solve_symmetric` returns: x is None when LAPACK
+refuses the factorisation, and an rcond below machine epsilon flags x.
+The least-squares solve retries either once with a 1e-8 ridge, then raises
+LinAlgError.  The Newton passes solve the exact Newton matrix plus a guard
+at rounding scale, so a pass on a settled active set lands on the stage's
+minimizer; a refused or flagged solve is replaced by one of the matrix
+with a larger ridge, which raises LinAlgError when refused and warns
+(LinAlgWarning) when flagged.  Both shifts are needed: with no guard, one
+of 96 noisy circular draws went from converged to diverged, and with the
+guard alone, 11 of 20 designs of collinear points (whose exact matrices
+are all singular) ended as singular systems.  The polish gives up on a
+refused or non-finite saddle solve and warns on a flagged one.
 """
 
 import math
+import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, LinAlgWarning
 
 from .model import (Dataset, DesignCache, SurfaceParams, build_design, predict_many)
 from .prox import ProxParams
-from .stationarity import _EPS, _cholesky_solve, saddle_matrix, solve_symmetric
+from .stationarity import _EPS, saddle_matrix, solve_symmetric
 
 RIDGE = 1e-10
 # Diagonal shifts of the hinge-Newton matrix, relative to 1 + mu: a guard at
@@ -48,18 +54,27 @@ def _lsq_system(cache: DesignCache, c_penalty: float):
     return H, rhs
 
 
+def _warn_if_flagged(rcond: float):
+    """Emit LinAlgWarning for a solve whose rcond is below machine epsilon."""
+    if rcond < _EPS:
+        warnings.warn(f"ill-conditioned symmetric system (rcond={rcond:.3e})",
+                      LinAlgWarning, stacklevel=2)
+
+
 def _lsq_solve(cache: DesignCache, c_penalty: float) -> np.ndarray:
     """Parameter vector of the least-squares fit on a design.
 
-    A normal matrix that Cholesky rejects is retried once with 1e-8 on its
-    diagonal.
+    A normal matrix that Cholesky refuses or flags (rcond below machine
+    epsilon) is retried once with 1e-8 on its diagonal; a retry refused or
+    flagged in turn raises LinAlgError, so no fit comes from a flagged solve.
     """
     H, rhs = _lsq_system(cache, c_penalty)
-    try:
-        return solve_symmetric(H, rhs, positive_definite=True)
-    except LinAlgError:
-        H = H + 1e-8 * np.eye(cache.d)
-        return solve_symmetric(H, rhs, positive_definite=True)
+    x, rcond = solve_symmetric(H, rhs, positive_definite=True)
+    if x is None or rcond < _EPS:
+        x, rcond = solve_symmetric(H + 1e-8 * np.eye(cache.d), rhs, positive_definite=True)
+        if x is None or rcond < _EPS:
+            raise LinAlgError(f"least-squares normal matrix is singular (rcond={rcond:.3e})")
+    return x
 
 
 def ls_qssvm_fit(data: Dataset, c_penalty: float = 1.0) -> SurfaceParams:
@@ -102,8 +117,9 @@ def _hinge_sq_minimize(th, F, Gth, A, G, mu, passes=80):
     the guard _HINGE_GUARD (1 + mu) I at rounding scale; once the active set
     has settled, that step lands on the minimizer.  When dposv refuses that
     matrix or dpocon puts its rcond below machine epsilon, the step is not
-    taken and the pass solves H + _HINGE_RIDGE (1 + mu) I instead, through
-    `solve_symmetric`, which warns on an ill-conditioned system.
+    taken and the pass solves H + _HINGE_RIDGE (1 + mu) I instead.  A
+    refused fallback raises LinAlgError; a flagged one emits LinAlgWarning
+    and its step is taken.
     """
     guard = _HINGE_GUARD * (1.0 + mu) * np.eye(G.shape[0])
     val = _hinge_sq_objective(th, F, Gth, mu)
@@ -116,10 +132,13 @@ def _hinge_sq_minimize(th, F, Gth, A, G, mu, passes=80):
         H = Aact.T @ Aact
         H *= mu
         H += G
-        step, info, rcond = _cholesky_solve(H + guard, -g)
-        if info != 0 or rcond < _EPS:
+        step, rcond = solve_symmetric(H + guard, -g, positive_definite=True)
+        if step is None or rcond < _EPS:
             H += _HINGE_RIDGE * (1.0 + mu) * np.eye(G.shape[0])
-            step = solve_symmetric(H, -g, positive_definite=True)
+            step, rcond = solve_symmetric(H, -g, positive_definite=True)
+            if step is None:
+                raise LinAlgError(f"ridged squared-hinge Newton matrix refused (mu={mu:.0e})")
+            _warn_if_flagged(rcond)
         slope = g @ step  # negative by construction
         t = 1.0
         th_new = th + step
@@ -213,10 +232,10 @@ def _active_set_polish(act, cache, tau, alpha, passes=40):
             return None
         K = saddle_matrix(act, cache)
         rhs = np.concatenate([np.zeros(d), -np.ones(act.size)])
-        try:
-            sol = solve_symmetric(K, rhs)
-        except LinAlgError:
+        sol, rcond = solve_symmetric(K, rhs)
+        if sol is None:
             return None
+        _warn_if_flagged(rcond)
         if not np.all(np.isfinite(sol)):
             return None
         cand, zeta = sol[:d], sol[d:]

@@ -7,6 +7,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError
 
 from . import newton
 from .baseline import accuracy, ls_qssvm_fit
@@ -189,7 +190,8 @@ def _fit_and_score(splits, methods, solver_config, trials: int, seed: int) -> li
     """Fit every method on each (train, test) split; one statistics row per method.
 
     Fits are timed and scored by test accuracy in percent.  A fit ending in a
-    singular system is left out of the statistics and counted in `failures`.
+    singular system, or raising LinAlgError (a singular least-squares
+    system), is left out of the statistics and counted in `failures`.
     """
     accs = [[] for _ in methods]
     times = [[] for _ in methods]
@@ -197,7 +199,11 @@ def _fit_and_score(splits, methods, solver_config, trials: int, seed: int) -> li
     for train, test in splits:
         for i, method in enumerate(methods):
             t0 = time.perf_counter()
-            theta, report = _fit_method(method, train, solver_config)
+            try:
+                theta, report = _fit_method(method, train, solver_config)
+            except LinAlgError:
+                failures[i] += 1
+                continue
             dt = time.perf_counter() - t0
             if report is not None and report.status is SolveStatus.SINGULAR_SYSTEM:
                 failures[i] += 1

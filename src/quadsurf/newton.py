@@ -17,12 +17,11 @@ import enum
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import LinAlgError, LinAlgWarning
+from scipy.linalg import LinAlgError
 
 from .baseline import warm_start_point
 from .model import Dataset, DesignCache, SurfaceParams, build_design
@@ -107,7 +106,10 @@ def newton_direction(state: SolverState, cache: DesignCache):
 
     Duals off the working set take no direction: the step resets them to
     zero.  An empty working set degenerates to the Tikhonov-damped smooth
-    step (G + gamma I) d_theta = -grad f.
+    step (G + gamma I) d_theta = -grad f.  A system LAPACK refuses, non-finite
+    input or a non-finite solution raises SingularSystemError; a solution
+    LAPACK flags as ill-conditioned (rcond below machine epsilon) is
+    returned without a warning.
     """
     gamma = state.gamma
     if not gamma > 0:
@@ -121,10 +123,8 @@ def newton_direction(state: SolverState, cache: DesignCache):
         K = saddle_matrix(working, cache, gamma)
         rhs = -np.concatenate([state.residual.grad_part, state.residual.margin_part])
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            sol = solve_symmetric(K, rhs, positive_definite=working.size == 0)
-    except (LinAlgError, ValueError):
+        sol, _ = solve_symmetric(K, rhs, positive_definite=working.size == 0)
+    except ValueError:
         sol = None
     if sol is None or not np.all(np.isfinite(sol)):
         sv = scipy.linalg.svdvals(K)

@@ -15,12 +15,11 @@ import functools
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import LinAlgError, LinAlgWarning, lapack
+from scipy.linalg import lapack
 
 from .model import DesignCache, SurfaceParams, margins, smooth_gradient
 from .prox import ProxParams, prox_contains
@@ -262,63 +261,35 @@ def _sytrf_lwork(n: int) -> int:
     return int(lapack.dsytrf_lwork(n)[0])
 
 
-def _checked_norm(K: np.ndarray, rhs: np.ndarray) -> float:
-    """1-norm of symmetric K, after the finiteness checks of `solve_symmetric`.
+def solve_symmetric(K: np.ndarray, rhs: np.ndarray, positive_definite: bool = False):
+    """(x, rcond) of K x = rhs for symmetric K (upper triangle read), by direct LAPACK calls.
 
-    The norm comes from one dlange call on K.T, a Fortran-ordered view, so
-    nothing is copied; for symmetric K its bits equal the largest column sum
-    of |K|.  A finite norm proves K finite, so the full finiteness scan of K
-    runs only when the norm is not finite (a NaN or inf in K, or a finite K
-    whose column sums overflow).
+    Positive-definite systems go through Cholesky (dposv, dpocon), all others
+    through blocked Bunch-Kaufman (dsytrf with its optimal workspace, dsytrs,
+    dsycon): scipy.linalg.solve's routes for such matrices, so x agrees with
+    it bit for bit, without its per-call validation and structure detection.
+    Nothing is raised or warned: where scipy raises LinAlgError, x is None
+    and rcond 0.0; where it warns LinAlgWarning, rcond is below machine
+    epsilon.  Each caller states its policy for both.  Non-finite input
+    raises ValueError.  The 1-norm comes from dlange on K.T, a Fortran view
+    with K's norm when K is symmetric, so nothing is copied; a finite norm
+    proves K finite, so the full scan of K runs only when the norm is not
+    (a NaN or inf in K, or a finite K whose column sums overflow).
     """
     anorm = lapack.dlange("1", K.T)
     if not (math.isfinite(anorm) or np.isfinite(K).all()) or not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
-    return anorm
-
-
-def _cholesky_solve(K: np.ndarray, rhs: np.ndarray):
-    """(x, info, rcond) of K x = rhs by dposv, then dpocon on its factor.
-
-    Nothing is raised or warned for a refused or ill-conditioned K: `info`
-    is dposv's (nonzero when Cholesky fails, and rcond is then 0.0), and the
-    caller judges rcond.  Non-finite input raises ValueError.
-    """
-    anorm = _checked_norm(K, rhs)
-    fac, x, info = lapack.dposv(K, rhs)
-    rcond = lapack.dpocon(fac, anorm)[0] if info == 0 else 0.0
-    return x, info, rcond
-
-
-def solve_symmetric(K: np.ndarray, rhs: np.ndarray, positive_definite: bool = False) -> np.ndarray:
-    """Solve K x = rhs for symmetric K (upper triangle read) by direct LAPACK calls.
-
-    Positive-definite systems go through Cholesky (dposv), all others through
-    the blocked Bunch-Kaufman factorisation (dsytrf with its optimal
-    workspace, then dsytrs).  These are the routes scipy.linalg.solve takes
-    for such matrices, so the results agree with it bit for bit, without
-    its per-call validation and structure detection.  Its checks are kept:
-    non-finite input raises ValueError, a failed factorisation raises
-    LinAlgError, and a reciprocal condition estimate below machine epsilon
-    emits LinAlgWarning.
-    """
     if positive_definite:
-        x, info, rcond = _cholesky_solve(K, rhs)
-        if info != 0:
-            raise LinAlgError(f"matrix is not positive definite (dposv info={info})")
+        fac, x, info = lapack.dposv(K, rhs)
+        if info == 0:
+            return x, lapack.dpocon(fac, anorm)[0]
     else:
-        anorm = _checked_norm(K, rhs)
         fac, ipiv, info = lapack.dsytrf(K, lwork=_sytrf_lwork(K.shape[0]))
-        if info != 0:
-            raise LinAlgError(f"singular matrix (dsytrf info={info})")
-        x, info = lapack.dsytrs(fac, ipiv, rhs)
-        if info != 0:
-            raise LinAlgError(f"dsytrs info={info}")
-        rcond, _ = lapack.dsycon(fac, ipiv, anorm)
-    if rcond < _EPS:
-        warnings.warn(f"ill-conditioned symmetric system (rcond={rcond:.3e})",
-                      LinAlgWarning, stacklevel=2)
-    return x
+        if info == 0:
+            x, info = lapack.dsytrs(fac, ipiv, rhs)
+        if info == 0:
+            return x, lapack.dsycon(fac, ipiv, anorm)[0]
+    return None, 0.0
 
 
 @dataclass(frozen=True)

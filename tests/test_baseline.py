@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import LinAlgError, LinAlgWarning
 
 import quadsurf.baseline as qs_baseline
@@ -26,18 +27,17 @@ def reference_hinge_value(th, A, G, mu):
 
 def ridged_step(H, g, mu):
     """Newton step on H + 1e-9 (1 + mu) I, the fallback of the guarded step."""
-    return solve_symmetric(H + 1e-9 * (1.0 + mu) * np.eye(H.shape[0]), -g,
-                           positive_definite=True)
+    return scipy.linalg.solve(H + 1e-9 * (1.0 + mu) * np.eye(H.shape[0]), -g, assume_a="pos")
 
 
 def guarded_step(H, g, mu):
     """Newton step on H + 1e-14 (1 + mu) I, or the ridged step when LAPACK refuses or
-    flags that solve."""
+    flags that solve (scipy raises LinAlgError or warns LinAlgWarning)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", LinAlgWarning)
-            return solve_symmetric(H + 1e-14 * (1.0 + mu) * np.eye(H.shape[0]), -g,
-                                   positive_definite=True)
+            return scipy.linalg.solve(H + 1e-14 * (1.0 + mu) * np.eye(H.shape[0]), -g,
+                                      assume_a="pos")
     except (LinAlgError, LinAlgWarning):
         return ridged_step(H, g, mu)
 
@@ -122,7 +122,7 @@ class TestLsqFit:
         theta = ls_qssvm_fit(data)
         assert accuracy(theta, data) == 1.0
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
     def test_large_penalty_interpolates_single_point(self):
         data = Dataset(points=np.array([[1.5]]), labels=np.array([1.0]))
         theta = ls_qssvm_fit(data, c_penalty=1e6)
@@ -134,21 +134,30 @@ class TestLsqFit:
             ls_qssvm_fit(circ_data, c_penalty=0.0)
 
     def test_rejected_cholesky_retried_with_larger_ridge(self, circ_data, monkeypatch):
-        seen = []
-
-        def reject_first(K, rhs, positive_definite=False):
-            seen.append(K)
-            if len(seen) == 1:
-                raise LinAlgError("injected")
-            return solve_symmetric(K, rhs, positive_definite)
-
-        monkeypatch.setattr(qs_baseline, "solve_symmetric", reject_first)
-        theta = ls_qssvm_fit(circ_data)
-        assert len(seen) == 2
-        np.testing.assert_array_equal(seen[1], seen[0] + 1e-8 * np.eye(seen[0].shape[0]))
+        # a refused and a flagged first solve are both retried
         H, rhs = qs_baseline._lsq_system(build_design(circ_data), 1.0)
-        np.testing.assert_array_equal(theta.to_vector(),
-                                      solve_symmetric(H + 1e-8 * np.eye(H.shape[0]), rhs, True))
+        retried, _ = solve_symmetric(H + 1e-8 * np.eye(H.shape[0]), rhs, True)
+        for first in ((None, 0.0), (np.full_like(rhs, np.nan), 1e-20)):
+            seen = []
+
+            def reject_first(K, rhs, positive_definite=False):
+                seen.append(K)
+                if len(seen) == 1:
+                    return first
+                return solve_symmetric(K, rhs, positive_definite)
+
+            monkeypatch.setattr(qs_baseline, "solve_symmetric", reject_first)
+            theta = ls_qssvm_fit(circ_data)
+            assert len(seen) == 2
+            np.testing.assert_array_equal(seen[1], seen[0] + 1e-8 * np.eye(seen[0].shape[0]))
+            np.testing.assert_array_equal(theta.to_vector(), retried)
+
+    def test_flagged_retry_raises(self):
+        # features scaled by 1e6: the normal matrix's rcond is 2.7e-32, before
+        # and after the 1e-8 ridge, so no solution is returned
+        iris = load_csv(IRIS_CSV, class_pair=(1, 2))
+        with pytest.raises(LinAlgError):
+            ls_qssvm_fit(Dataset(iris.points * 1e6, iris.labels))
 
 
 class TestWarmStart:
@@ -186,16 +195,16 @@ class TestWarmStart:
         violations = np.count_nonzero(margins(report.final.theta, build_design(train)) > 0.0)
         assert violations <= train.n // 4
 
-    @pytest.mark.parametrize("failure", ["raises", "non_finite"])
+    @pytest.mark.parametrize("failure", ["refused", "non_finite"])
     def test_polish_gives_up_on_a_failed_saddle_solve(self, circ_data, monkeypatch, failure):
         z0, cache, tau, alpha = polish_setup(circ_data, 10.0)
         act = np.flatnonzero(z0)
         assert _active_set_polish(act, cache, tau, alpha) is not None
 
         def broken(K, rhs, positive_definite=False):
-            if failure == "raises":
-                raise LinAlgError("injected")
-            return np.full_like(rhs, np.nan)
+            if failure == "refused":
+                return None, 0.0
+            return np.full_like(rhs, np.nan), 1.0
 
         monkeypatch.setattr(qs_baseline, "solve_symmetric", broken)
         assert _active_set_polish(act, cache, tau, alpha) is None
@@ -364,20 +373,21 @@ class TestHingeLoop:
     @pytest.mark.parametrize("seed", [0, 4])
     def test_refused_exact_attempts_fall_back_to_the_ridged_loop(self, monkeypatch, seed):
         data = collinear_data(seed)
-        attempts = []
-        real = qs_baseline._cholesky_solve
+        failed = []  # per solve: refused or flagged
+        real = qs_baseline.solve_symmetric
 
-        def spy(K, rhs):
-            out = real(K, rhs)
-            attempts.append(out[1] != 0 or out[2] < np.finfo(float).eps)
-            return out
+        def spy(K, rhs, positive_definite=False):
+            x, rcond = real(K, rhs, positive_definite)
+            failed.append(x is None or rcond < np.finfo(float).eps)
+            return x, rcond
 
-        monkeypatch.setattr(qs_baseline, "_cholesky_solve", spy)
+        monkeypatch.setattr(qs_baseline, "solve_symmetric", spy)
         for mu in (1e2, 1e4, 1e6, 1e8):
             th0, cache = stage_start(data, mu)
-            attempts.clear()
+            failed.clear()
             th, F, _ = hinge_minimize(th0, cache, mu)
-            assert attempts and all(attempts)
+            # each pass is an exact attempt, refused or flagged, then its ridged fallback
+            assert failed and len(failed) % 2 == 0 and all(failed[0::2])
             expect = reference_hinge_minimize(th0, cache.a, cache.G, mu,
                                               newton_step=ridged_step)
             np.testing.assert_array_equal(th, expect)
@@ -389,19 +399,15 @@ class TestHingeLoop:
         # ends on the gradient test.  The ridged step needed a second solve.
         th0, cache = stage_start(iris_train(77, 0), 1e6)
         calls = []
-        real = qs_baseline._cholesky_solve
+        real = qs_baseline.solve_symmetric
 
-        def spy(K, rhs):
+        def spy(K, rhs, positive_definite=False):
             calls.append(1)
-            return real(K, rhs)
+            return real(K, rhs, positive_definite)
 
-        def no_fallback(K, rhs, positive_definite=False):
-            raise AssertionError("ridged fallback solve")
-
-        monkeypatch.setattr(qs_baseline, "_cholesky_solve", spy)
-        monkeypatch.setattr(qs_baseline, "solve_symmetric", no_fallback)
+        monkeypatch.setattr(qs_baseline, "solve_symmetric", spy)
         th, F, Gth = hinge_minimize(th0, cache, 1e6)
-        assert len(calls) == 1
+        assert len(calls) == 1  # a ridged fallback would be a second solve
         act = F > 0.0
         g = Gth + 1e6 * (cache.a[act].T @ F[act])
         assert np.linalg.norm(g) <= 1e-12 * (1.0 + 1e6)
@@ -417,22 +423,47 @@ class TestHingeLoop:
 
     def test_flagged_exact_attempt_is_not_stepped_from(self, monkeypatch):
         th0, cache = stage_start(iris_train(77, 0), 1e2)
-        real = qs_baseline._cholesky_solve
+        real = qs_baseline.solve_symmetric
         calls = []
 
-        def flag_first(K, rhs):
+        def flag_first(K, rhs, positive_definite=False):
             calls.append(1)
-            x, info, rcond = real(K, rhs)
+            x, rcond = real(K, rhs, positive_definite)
             if len(calls) == 1:
-                return np.full_like(x, np.nan), info, 1e-20
-            return x, info, rcond
+                return np.full_like(x, np.nan), 1e-20
+            return x, rcond
 
-        monkeypatch.setattr(qs_baseline, "_cholesky_solve", flag_first)
+        monkeypatch.setattr(qs_baseline, "solve_symmetric", flag_first)
         th, _, _ = hinge_minimize(th0, cache, 1e2, passes=1)
         expect = reference_hinge_minimize(th0, cache.a, cache.G, 1e2, passes=1,
                                           newton_step=ridged_step)
         np.testing.assert_array_equal(th, expect)
         assert not np.array_equal(th, th0)
+
+    def test_refused_ridged_fallback_ends_the_fit_as_singular_system(self, monkeypatch):
+        train = iris_train(77, 0)
+        th0, cache = stage_start(train, 1e4)
+        real = qs_baseline.solve_symmetric
+        calls = []
+
+        def refuse_after_first(K, rhs, positive_definite=False):
+            calls.append(1)
+            return real(K, rhs, positive_definite) if len(calls) == 1 else (None, 0.0)
+
+        monkeypatch.setattr(qs_baseline, "solve_symmetric",
+                            lambda K, rhs, positive_definite=False: (None, 0.0))
+        with pytest.raises(LinAlgError):
+            hinge_minimize(th0, cache, 1e4)
+
+        # the LS solve goes through; the first hinge pass's exact attempt and
+        # its ridged fallback are refused
+        monkeypatch.setattr(qs_baseline, "solve_symmetric", refuse_after_first)
+        rep = solve(train, SolverConfig(lam=100.0))
+        assert len(calls) == 3
+        assert rep.status is SolveStatus.SINGULAR_SYSTEM
+        assert rep.final.iter == 0
+        np.testing.assert_array_equal(rep.final.theta.to_vector(), 0.0)
+        np.testing.assert_array_equal(rep.final.z, 0.0)
 
 
 class TestCompare:
@@ -521,3 +552,13 @@ class TestCompare:
         only = compare(train, test, methods=("newton_l01",), trials=2, seed=0)[0]
         assert only["failures"] == 2
         assert np.isnan(only["acc_mean"]) and np.isnan(only["mean_time_s"])
+
+    def test_raising_ls_fits_counted_as_failures(self):
+        # on iris scaled by 1e6 every LS solve is flagged, so ls_qssvm_fit raises
+        # and the Newton fit's warm start ends it as a singular system
+        iris = load_csv(IRIS_CSV, class_pair=(1, 2))
+        data = Dataset(iris.points * 1e6, iris.labels)
+        rows = run_bench(data, BenchProtocol(trials=3, seed=0, normalize=Normalize.NONE))
+        for row in rows:
+            assert row["failures"] == row["trials"] == 3
+            assert np.isnan(row["acc_mean"])

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
 
 import quadsurf.model as qs_model
 import quadsurf.newton as qs_newton
@@ -83,6 +82,28 @@ class TestNewtonDirection:
         rhs = -np.concatenate([state.residual.grad_part, state.residual.margin_part])
         expect = np.linalg.solve(K, rhs)
         np.testing.assert_allclose(np.concatenate([d_theta, d_zw]), expect, rtol=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_flagged_step_is_taken_silently(self, monkeypatch):
+        # a duplicated feature (x, y, y) makes the saddle matrix singular up to
+        # rounding: LAPACK factors it and flags the solution, which is stepped from
+        data = generate(GenSpec(kind="circular", n_per_class=50, seed=0))
+        x, y = data.points.T
+        cache = build_design(Dataset(points=np.column_stack([x, y, y]), labels=data.labels))
+        cfg = SolverConfig(lam=100.0)
+        theta, z = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
+        state = make_state(theta, z, cache, alpha=cfg.alpha, lam=cfg.lam, gamma=1e-3)
+        solved = []
+
+        def spy(K, rhs, positive_definite=False):
+            solved.append(solve_symmetric(K, rhs, positive_definite))
+            return solved[-1]
+
+        monkeypatch.setattr(qs_newton, "solve_symmetric", spy)
+        d_theta, d_zw = newton_direction(state, cache)
+        (sol, rcond), = solved
+        assert rcond < np.finfo(float).eps
+        np.testing.assert_array_equal(np.concatenate([d_theta, d_zw]), sol)
 
     def test_direction_consistency(self, rng):
         # plugging the direction back reproduces the negated residual blocks
@@ -273,7 +294,7 @@ class TestSolveFailures:
         def fail_second_step(K, rhs, positive_definite=False):
             calls.append(1)
             if len(calls) == 2:
-                raise LinAlgError("injected")
+                return None, 0.0
             return solve_symmetric(K, rhs, positive_definite)
 
         monkeypatch.setattr(qs_newton, "solve_symmetric", fail_second_step)

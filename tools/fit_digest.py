@@ -7,7 +7,10 @@ per-trial stream `run_bench` uses, z-scores both halves with the training
 statistics, runs the Newton fit (lam = 100) and the least-squares fit, and
 predicts the test split with both.  Iris fits end at the warm start, so it
 also fits six noisy circular draws (600 per class, noise 0.3, seeds
-100-105, lam = 100), which take Newton steps.  It prints four lines:
+100-105, lam = 100), which take Newton steps, and 60 degenerate designs,
+whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
+0-19, lam = 100) made collinear (x2 = 2 x1), given a duplicated feature
+(x, y, y) or a constant one (x, y, 1).  It prints six lines:
 
     digest             sha256 over theta, z, status, iterations and the
                        certificate JSON of every Newton fit, the LS fit's
@@ -17,6 +20,9 @@ also fits six noisy circular draws (600 per class, noise 0.3, seeds
                        out as `run_bench` leaves them out
     noisy_digest       sha256 over theta, z, status, iterations and the
                        certificate JSON of the noisy circular fits
+    degenerate_digest  the same over the degenerate fits, with each
+                       design's LS fit theta
+    degenerate_warnings  LinAlgWarnings raised by the degenerate fits
 
 Run from the root of a source checkout; the library is imported from its
 ``src/`` directory.  Equal digests mean bit-identical results.
@@ -41,7 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 from scipy.linalg import LinAlgWarning  # noqa: E402
 
-from quadsurf import (GenSpec, Normalize, SolverConfig, SolveStatus,  # noqa: E402
+from quadsurf import (Dataset, GenSpec, Normalize, SolverConfig, SolveStatus,  # noqa: E402
                       apply_normalizer, fit_normalizer, generate, load_csv, ls_qssvm_fit,
                       predict_many, solve, split)
 
@@ -58,6 +64,10 @@ def _update_with_fit(h, report):
     h.update(f"{report.status.value} {final.iter}\n".encode())
     cert = report.certificate.to_json(sort_keys=True) if report.certificate else ""
     h.update(cert.encode())
+
+
+def _linalg_warnings(caught) -> int:
+    return sum(issubclass(w.category, LinAlgWarning) for w in caught)
 
 
 def fit_digest(seeds, trials: int):
@@ -86,8 +96,7 @@ def fit_digest(seeds, trials: int):
 
                 if report.status is not SolveStatus.SINGULAR_SYSTEM:
                     accs.append(100.0 * float(np.mean(labels == test.labels)))
-    n_warn = sum(issubclass(w.category, LinAlgWarning) for w in caught)
-    return h.hexdigest(), n_warn, float(np.mean(accs)) if accs else float("nan")
+    return h.hexdigest(), _linalg_warnings(caught), float(np.mean(accs)) if accs else float("nan")
 
 
 def noisy_digest():
@@ -98,6 +107,28 @@ def noisy_digest():
     return h.hexdigest()
 
 
+def degenerate_designs():
+    """The 60 degenerate training sets, in digest order."""
+    for seed in range(20):
+        data = generate(GenSpec(kind="circular", n_per_class=50, seed=seed))
+        x, y = data.points.T
+        for pts in (np.column_stack([x, 2.0 * x]), np.column_stack([x, y, y]),
+                    np.column_stack([x, y, np.ones_like(x)])):
+            yield Dataset(points=pts, labels=data.labels)
+
+
+def degenerate_digest():
+    """(sha256 hex digest, LinAlgWarning count) over the Newton and LS fits of the
+    degenerate designs."""
+    h = hashlib.sha256()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", LinAlgWarning)
+        for data in degenerate_designs():
+            _update_with_fit(h, solve(data, SOLVER))
+            h.update(ls_qssvm_fit(data).to_vector().tobytes())
+    return h.hexdigest(), _linalg_warnings(caught)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[77, 9000])
@@ -106,10 +137,13 @@ def main(argv=None):
     if args.trials < 1:
         ap.error("--trials must be >= 1")
     digest, n_warn, acc = fit_digest(args.seeds, args.trials)
-    print(f"digest           {digest}")
-    print(f"linalg_warnings  {n_warn}")
-    print(f"accuracy_pct     {acc:.3f}")
-    print(f"noisy_digest     {noisy_digest()}")
+    degenerate, n_degenerate_warn = degenerate_digest()
+    print(f"digest               {digest}")
+    print(f"linalg_warnings      {n_warn}")
+    print(f"accuracy_pct         {acc:.3f}")
+    print(f"noisy_digest         {noisy_digest()}")
+    print(f"degenerate_digest    {degenerate}")
+    print(f"degenerate_warnings  {n_degenerate_warn}")
 
 
 if __name__ == "__main__":
