@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, LinAlgWarning
 
 from .model import (Dataset, DesignCache, SurfaceParams, build_design, predict_many)
-from .prox import ProxParams
+from .prox import ProxParams, prox_branches
 from .stationarity import _EPS, saddle_matrix, solve_symmetric
 
 RIDGE = 1e-10
@@ -198,7 +198,7 @@ def warm_start_point(cache: DesignCache, lam: float, alpha: float, polish: bool 
         mu *= 100.0
 
     if polish:
-        active0 = np.flatnonzero((F > 0.0) & (F < tau))
+        active0 = np.flatnonzero(prox_branches(F, tau)[1])
         # Twin samples share a row of A and make the polish's A_act rank-deficient: keep
         # the first (the other keeps F = 0, z = 0).  Rows are compared only when two
         # margins agree to 1e-12 relative, as BLAS may round twins' F differently.
@@ -245,6 +245,8 @@ def _active_set_polish(act, cache, tau, alpha, passes=40):
             continue
         F = 1.0 + A @ cand
         F[act] = 0.0  # exact by construction
+        # not `prox_branches`: each end has its own tolerance, absolute above the
+        # rounded zero margins, relative below tau
         in_band = (F > 1e-10) & (F < tau * (1.0 - 1e-9))
         if np.any(in_band):
             depth = np.where(in_band, np.minimum(F, tau - F), -np.inf)

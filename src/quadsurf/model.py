@@ -100,8 +100,8 @@ class SurfaceParams:
     ``0.5 x'Wx = sum_j 0.5*w_jj*x_j^2 + sum_{j<k} w_jk*x_j*x_k``.
 
     `wtri` and `b` are read-only copies of the arrays passed in, so a
-    surface never changes after construction.  W is assembled from them on
-    first use and cached; `decision_values` is the batch read path and
+    surface never changes after construction.  0.5 W is assembled from them
+    on first use and cached; `decision_values` is the batch read path and
     `predict` the 1-row one.
     """
 
@@ -148,22 +148,18 @@ class SurfaceParams:
         return SurfaceParams(np.zeros(tri_dim(m)), np.zeros(m), 0.0)
 
     @cached_property
-    def _W(self) -> np.ndarray:
-        """The full symmetric W assembled from the packed wtri (read-only)."""
+    def _half_W(self) -> np.ndarray:
+        """0.5 W assembled from the packed wtri (read-only); `matrix` doubles it exactly."""
         m = self.m
         _, _, rows, cols, src = _pairs(m)
-        W = np.zeros((m, m))
-        W[rows, src] = self.wtri[cols]
-        W.setflags(write=False)
-        return W
-
-    @cached_property
-    def _half_W(self) -> np.ndarray:
-        return 0.5 * self._W
+        half_W = np.zeros((m, m))
+        half_W[rows, src] = 0.5 * self.wtri[cols]
+        half_W.setflags(write=False)
+        return half_W
 
     def matrix(self) -> np.ndarray:
         """The full symmetric W, as a fresh array the caller may modify."""
-        return self._W.copy()
+        return 2.0 * self._half_W
 
     def decision_values(self, points: np.ndarray) -> np.ndarray:
         """h(x) = 0.5 x'Wx + b'x + c for each row x of `points`."""
@@ -172,7 +168,7 @@ class SurfaceParams:
             raise InputError(f"points have {pts.shape[1]} features, surface expects {self.m}")
         # a non-finite row would warn inside the products; it is refused below
         with np.errstate(invalid="ignore", over="ignore"):
-            quad = 0.5 * np.einsum("ij,ij->i", pts @ self._W, pts)
+            quad = np.einsum("ij,ij->i", pts @ self._half_W, pts)
             h = quad + pts @ self.b + self.c
         if not np.isfinite(h).all():
             raise InputError("non-finite decision value (non-finite query point or overflow)")

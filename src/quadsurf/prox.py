@@ -28,11 +28,16 @@ class ProxParams:
         return math.sqrt(2.0 * self.lam * self.alpha)
 
 
-def zero_one_loss(t: float) -> int:
-    """1 for strictly positive t, 0 otherwise."""
-    if not math.isfinite(t):
-        raise ValueError(f"non-finite argument {t}")
-    return 1 if t > 0.0 else 0
+def prox_branches(s, thr: float, tol: float = 0.0):
+    """The prox's case split of s at threshold thr: masks (boundary, interior).
+
+    `boundary` is within tol of a break point {0, thr}, where the prox is {0, s};
+    `interior` is the rest of (0, thr), where it is 0; elsewhere s passes through.
+    The Newton index sets T_2, T_1 and the warm start's active set are this split.
+    """
+    boundary = (np.abs(s) <= tol) | (np.abs(s - thr) <= tol)
+    interior = (0.0 < s) & (s < thr) & ~boundary
+    return boundary, interior
 
 
 def positive_count(u: np.ndarray) -> int:
@@ -43,34 +48,27 @@ def positive_count(u: np.ndarray) -> int:
     return int(np.count_nonzero(u > 0.0))
 
 
-def prox_scalar(z: float, p: ProxParams, tie_to_zero: bool = True) -> float:
-    """Closed-form prox of lam*step at z.
-
-    At the boundary values z in {0, threshold} both 0 and z attain the prox
-    objective; `tie_to_zero` picks which one is returned.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"non-finite argument {z}")
-    thr = p.threshold
-    if z == 0.0 or z == thr:
-        return 0.0 if tie_to_zero else z
-    if 0.0 < z < thr:
-        return 0.0
-    return z
+def zero_one_loss(t: float) -> int:
+    """1 for strictly positive t, 0 otherwise."""
+    return positive_count(t)
 
 
 def prox_vector(z: np.ndarray, p: ProxParams, tie_to_zero: bool = True) -> np.ndarray:
-    """Componentwise `prox_scalar`."""
+    """Closed-form prox of lam*step at each entry of z.
+
+    At the break points z in {0, threshold} both 0 and z attain the prox
+    objective; `tie_to_zero` picks which one is returned.
+    """
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite entries")
-    thr = p.threshold
-    out = z.copy()
-    interior = (z > 0.0) & (z < thr)
-    out[interior] = 0.0
-    boundary = (z == 0.0) | (z == thr)
-    out[boundary] = 0.0 if tie_to_zero else z[boundary]
-    return out
+    boundary, interior = prox_branches(z, p.threshold)
+    return np.where(interior | boundary if tie_to_zero else interior, 0.0, z)
+
+
+def prox_scalar(z: float, p: ProxParams, tie_to_zero: bool = True) -> float:
+    """`prox_vector` at a single z."""
+    return float(prox_vector(z, p, tie_to_zero))
 
 
 def prox_contains(u, z, p: ProxParams, tol: float = 0.0):
@@ -82,9 +80,7 @@ def prox_contains(u, z, p: ProxParams, tol: float = 0.0):
     """
     u = np.asarray(u, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    thr = p.threshold
-    boundary = (np.abs(z) <= tol) | (np.abs(z - thr) <= tol)
-    interior = (0.0 < z) & (z < thr)
+    boundary, interior = prox_branches(z, p.threshold, tol)
     out = np.where(boundary, np.minimum(np.abs(u), np.abs(u - z)) <= tol,
                    np.where(interior, np.abs(u) <= tol, np.abs(u - z) <= tol))
     return bool(out) if out.ndim == 0 else out

@@ -22,7 +22,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .model import DesignCache, SurfaceParams, margins, smooth_gradient
-from .prox import ProxParams, prox_contains
+from .prox import ProxParams, prox_branches, prox_contains
 
 # Absolute band for the two-point membership tests; floating-point iterates
 # never hit {0, threshold} exactly.
@@ -56,16 +56,10 @@ def index_sets(F: np.ndarray, z: np.ndarray, alpha: float, lam: float) -> IndexS
     if F.shape != z.shape:
         raise ValueError(f"F and z disagree in length: {F.shape} vs {z.shape}")
     band = _SET_BAND * max(1.0, tau)
-    s = F + alpha * z
-
-    near0 = np.abs(s) <= band
-    near_tau = np.abs(s - tau) <= band
-    in_t2 = near0 | near_tau
-    in_t1 = (s > 0.0) & (s < tau) & ~in_t2
+    in_t2, in_t1 = prox_branches(F + alpha * z, tau, band)
     in_t3 = ~(in_t1 | in_t2)
-
-    az = alpha * z
-    in_to = in_t2 & (np.abs(F) <= band) & ((np.abs(az) <= band) | (np.abs(az - tau) <= band))
+    # t_o: a zero margin whose dual step alpha*z sits at a break point itself
+    in_to = in_t2 & (np.abs(F) <= band) & prox_branches(alpha * z, tau, band)[0]
 
     idx = np.arange(F.shape[0])
     # t_o lies in t_2, which t_1 excludes, so the working set is a disjoint union
@@ -174,6 +168,8 @@ def pstationary_check(theta: SurfaceParams, z: np.ndarray, alpha: float, lam: fl
     p = ProxParams(alpha=alpha, lam=lam)
     prox_ok = bool(np.all(prox_contains(F, F + alpha * z, p, tol=tol)))
 
+    # The sign conditions test F and z apiece at tol, not through `prox_branches`
+    # on F + alpha*z: a shared test could flip a comparison at a tolerance edge.
     tau = p.threshold
     dual_cap = math.sqrt(2.0 * lam / alpha)
     zero_margin = np.abs(F) <= tol

@@ -69,9 +69,11 @@ def test_criterion_1_prox_oracle():
         p = ProxParams(alpha=alpha, lam=lam)
         zs = rng.uniform(-5.0, 5.0, size=100)
         out = prox_vector(zs, p)
+        # the grid is z + offsets, so its quadratic term is the same for every z
+        quad = grid_offsets ** 2 / (2.0 * alpha)
+        charged = quad + lam
         for z, u in zip(zs, out):
-            grid = z + grid_offsets
-            vals = lam * (grid > 0) + (grid - z) ** 2 / (2.0 * alpha)
+            vals = np.where(z + grid_offsets > 0, charged, quad)
             oracle = min(vals.min(),
                          lam * (0.0 > 0) + z * z / (2.0 * alpha),
                          lam * (z > 0))

@@ -309,8 +309,9 @@ class TestSolveFailures:
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_failed_warm_start_reports_singular_system(self):
-        # features scaled by 1e6 put G's entries near 1e24, and Cholesky
-        # rejects the warm start's squared-hinge Newton matrix
+        # features scaled by 1e6 put G's entries near 1e24: the warm start's
+        # least-squares normal matrix comes out flagged (rcond near 3e-32), its
+        # 1e-8 retry too, so the fit fails before any squared-hinge pass
         iris = load_csv(Path(__file__).resolve().parent.parent / "data" / "iris.csv",
                         class_pair=(1, 2))
         rep = solve(Dataset(iris.points * 1e6, iris.labels), SolverConfig(lam=100.0))

@@ -24,6 +24,20 @@ def prox_contains_loop(u, z, p, tol):
     return np.array(out, dtype=bool)
 
 
+def prox_vector_loop(z, p, tie_to_zero):
+    """The per-entry branching prox_scalar once had; reference for prox_vector."""
+    thr = p.threshold
+    out = []
+    for zi in z:
+        if zi == 0.0 or zi == thr:
+            out.append(0.0 if tie_to_zero else zi)
+        elif 0.0 < zi < thr:
+            out.append(0.0)
+        else:
+            out.append(zi)
+    return np.array(out, dtype=np.float64)
+
+
 def grid_minimum(z, p, spacing=1e-4):
     """Brute-force prox objective minimum over a grid around z plus {0, z}."""
     grid = np.arange(z - 3.0, z + 3.0 + spacing, spacing)
@@ -116,6 +130,20 @@ class TestProxVector:
             z = rng.uniform(-5, 5)
             u = prox_vector(np.array([z]), p)[0]
             assert prox_objective(u, z, p) <= grid_minimum(z, p) + 1e-9
+
+    @pytest.mark.parametrize("tie_to_zero", [True, False])
+    def test_break_points_match_scalar_loop(self, tie_to_zero):
+        p = ProxParams(alpha=0.3, lam=0.7)
+        thr = p.threshold
+        tiny = np.nextafter(0.0, 1.0)
+        z = np.array([0.0, -0.0, thr, np.nextafter(thr, 0.0), np.nextafter(thr, 2.0 * thr),
+                      tiny, -tiny, 0.5 * thr, -thr, 2.0 * thr])
+        out = prox_vector(z, p, tie_to_zero=tie_to_zero)
+        expect = prox_vector_loop(z, p, tie_to_zero)
+        # compared bit for bit, so the sign of a returned zero counts
+        np.testing.assert_array_equal(out.view(np.int64), expect.view(np.int64))
+        scalar = np.array([prox_scalar(t, p, tie_to_zero=tie_to_zero) for t in z])
+        np.testing.assert_array_equal(scalar.view(np.int64), expect.view(np.int64))
 
     def test_unique_minimizer_off_boundary(self, rng):
         # away from {0, threshold} the prox value strictly beats the alternative branch

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg import LinAlgError, LinAlgWarning
 
-from quadsurf import (Dataset, SurfaceParams, alpha_bounds, assumption_rank_check,
+from quadsurf import (Dataset, ProxParams, SurfaceParams, alpha_bounds, assumption_rank_check,
                       build_design, index_sets, margins, pstationary_check,
                       recover_multiplier, residual, second_order_check, smooth_gradient)
 from quadsurf.stationarity import saddle_matrix, solve_symmetric
@@ -47,6 +47,24 @@ def exact_pair(rng, n=8, m=2, k=None):
         return data, cache, theta, z, T
 
 
+def index_sets_loop(F, z, alpha, lam):
+    """Per-sample classification of F + alpha*z; reference for index_sets."""
+    tau = ProxParams(alpha=alpha, lam=lam).threshold
+    band = 1e-12 * max(1.0, tau)
+    sets = {"t_o": [], "t_1": [], "t_2": [], "t_3": []}
+    for i, (f, zi) in enumerate(zip(F, z)):
+        s, az = f + alpha * zi, alpha * zi
+        if abs(s) <= band or abs(s - tau) <= band:
+            sets["t_2"].append(i)
+            if abs(f) <= band and (abs(az) <= band or abs(az - tau) <= band):
+                sets["t_o"].append(i)
+        elif 0.0 < s < tau:
+            sets["t_1"].append(i)
+        else:
+            sets["t_3"].append(i)
+    return sets
+
+
 class TestIndexSets:
     def test_hand_case(self):
         # alpha=1, lam=0.5 -> threshold 1
@@ -68,6 +86,25 @@ class TestIndexSets:
     def test_rejects_nonpositive_alpha_or_lam(self, alpha, lam):
         with pytest.raises(ValueError):
             index_sets(np.zeros(3), np.zeros(3), alpha=alpha, lam=lam)
+
+    @pytest.mark.parametrize("lam", [1.3, 0.02])  # tau above 1 and below it
+    def test_edges_match_sample_loop(self, lam):
+        alpha = 0.5  # alpha*z is exact, so z = 2*tau puts alpha*z at tau
+        tau = ProxParams(alpha=alpha, lam=lam).threshold
+        band = 1e-12 * max(1.0, tau)
+        near = [0.0, 0.5 * band, band, 2.0 * band]
+        edges = sorted({e + sign * d for e in (0.0, tau) for d in near for sign in (1, -1)})
+        s_at = edges + [-0.0, 0.5 * tau, -1.0, 2.0 * tau]
+        # s = F exactly (z = 0), then alpha*z at tau and near 0 with F at and past the
+        # band; the last sample has s and F in the band but alpha*z past it
+        F = s_at + [0.0, band, -band, 2.0 * band, 0.0, -band, -2.0 * band, band]
+        z = [0.0] * len(s_at) + [2.0 * tau] * 4 + [band, 2.0 * band, 4.0 * band, -3.0 * band]
+        got = index_sets(np.array(F), np.array(z), alpha, lam)
+        expect = index_sets_loop(F, z, alpha, lam)
+        for name, idx in expect.items():
+            np.testing.assert_array_equal(getattr(got, name), idx, err_msg=name)
+            assert idx, f"no sample lands in {name}"
+        np.testing.assert_array_equal(got.working, sorted(expect["t_o"] + expect["t_1"]))
 
     def test_partition(self, rng):
         for _ in range(200):
