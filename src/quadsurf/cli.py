@@ -28,12 +28,8 @@ def _add_solver_flags(p):
                    help=f"margin-violation penalty (default {base.lam})")
     p.add_argument("--alpha", type=float, default=base.alpha,
                    help=f"prox step for the working-set tests (default {base.alpha})")
-    p.add_argument("--tau", type=float, default=base.tau,
-                   help=f"perturbation shrink factor, must be in (0,1) (default {base.tau})")
     p.add_argument("--rho", type=float, default=base.rho,
                    help=f"residual multiplier in the perturbation update (default {base.rho})")
-    p.add_argument("--gamma0", type=float, default=base.gamma_init,
-                   help=f"initial system perturbation (default {base.gamma_init})")
     p.add_argument("--eps", type=float, default=base.eps,
                    help=f"stop tolerance on the residual norm (default {base.eps})")
     p.add_argument("--max-iter", type=int, default=base.max_iter, help="Newton step budget")
@@ -46,8 +42,8 @@ def _add_data_flags(p):
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(lam=args.lam, alpha=args.alpha, tau=args.tau, rho=args.rho,
-                        gamma_init=args.gamma0, eps=args.eps, max_iter=args.max_iter)
+    return SolverConfig(lam=args.lam, alpha=args.alpha, rho=args.rho, eps=args.eps,
+                        max_iter=args.max_iter)
 
 
 def _class_pair(args):
@@ -140,8 +136,12 @@ def cmd_bench(args) -> int:
 def cmd_grid(args) -> int:
     with open(args.report) as fh:
         rep = json.load(fh)
-    th = rep["theta"]
-    theta = SurfaceParams(np.asarray(th["wtri"]), np.asarray(th["b"]), th["c"])
+    try:
+        th = rep["theta"]
+        theta = SurfaceParams(np.asarray(th["wtri"]), np.asarray(th["b"]), th["c"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise InputError(f"{args.report}: no surface in theta.wtri, theta.b, theta.c "
+                         f"({type(err).__name__}: {err})") from err
     bbox = [float(v) for v in args.bbox.split(",")]
     if len(bbox) != 4:
         raise InputError(f"--bbox expects 'x_lo,x_hi,y_lo,y_hi', got {args.bbox!r}")
@@ -203,7 +203,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError, ValueError) as err:
+    except (InputError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -128,10 +128,6 @@ class SurfaceParams:
     def m(self) -> int:
         return self.b.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return param_dim(self.m)
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.wtri, self.b, [self.c]])
 

@@ -6,18 +6,18 @@ Each step classifies the samples into a working set from the current
     [ G      a_T' ] [ d_theta ]   [ -(grad f + a_T' z_T) ]
     [ a_T   -g I  ] [ d_z_T   ] = [ -F_T                 ]
 
-with the perturbation g shrinking like min(tau * g_prev, rho * ||Psi||),
-while duals off the working set are reset to zero.  Because the smooth
-part is quadratic and the margins affine, the residual for a fixed
-working set is affine in (theta, z) and the local rate is quadratic once
-the working set settles.
+with the perturbation g = 0.1 at first, then halved or set to rho * ||Psi||,
+whichever is smaller, never below 1e-14; rho is the schedule's only setting.
+Duals off the working set are reset to zero.  Because the smooth part is
+quadratic and the margins affine, the residual for a fixed working set is
+affine in (theta, z) and the local rate is quadratic once that set settles.
 """
 
 import enum
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +28,7 @@ from .model import Dataset, DesignCache, SurfaceParams, build_design
 from .stationarity import (IndexSets, PStatCertificate, ResidualParts, pstationary_check,
                            residual, saddle_matrix, solve_symmetric)
 
-GAMMA_FLOOR = 1e-14
+GAMMA_INIT, GAMMA_SHRINK, GAMMA_FLOOR = 0.1, 0.5, 1e-14  # see gamma_update
 SAFEGUARD_WINDOW = 5  # consecutive residual increases that end a solve as diverged
 RATE_CAP, RATE_FLOOR, RATE_WINDOW = 1e-2, 1e-14, 5  # see rate_probe
 
@@ -46,26 +46,20 @@ class SolverConfig:
 
     lam              margin-violation penalty (weight of the 0-1 loss count)
     alpha            prox step entering the working-set classification
-    tau              shrink factor for the system perturbation, in (0, 1)
-    rho              residual multiplier in the perturbation update
-    gamma_init       initial perturbation
+    rho              residual multiplier, the perturbation schedule's only setting
     eps              stop tolerance on the residual norm
     max_iter         Newton step budget
     """
 
     lam: float = 10.0
     alpha: float = 1e-6
-    tau: float = 0.5
     rho: float = 1.0
-    gamma_init: float = 0.1
     eps: float = 1e-8
     max_iter: int = 100
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.alpha > 0 and self.rho > 0 and self.gamma_init > 0):
-            raise ValueError("lam, alpha, rho, gamma_init must be positive")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+        if not (self.lam > 0 and self.alpha > 0 and self.rho > 0):
+            raise ValueError("lam, alpha, rho must be positive")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
@@ -94,11 +88,11 @@ class SingularSystemError(RuntimeError):
         self.sigma_min = sigma_min
 
 
-def gamma_update(gamma_prev: float, tau: float, rho: float, resid_norm: float) -> float:
-    """Perturbation update min(tau*gamma_prev, rho*resid_norm), floored at 1e-14."""
-    if not (gamma_prev > 0 and rho > 0 and 0 < tau < 1 and resid_norm >= 0):
+def gamma_update(gamma_prev: float, rho: float, resid_norm: float) -> float:
+    """Perturbation update min(GAMMA_SHRINK*gamma_prev, rho*resid_norm), floored."""
+    if not (gamma_prev > 0 and rho > 0 and resid_norm >= 0):
         raise ValueError("invalid gamma_update arguments")
-    return max(min(tau * gamma_prev, rho * resid_norm), GAMMA_FLOOR)
+    return max(min(GAMMA_SHRINK * gamma_prev, rho * resid_norm), GAMMA_FLOOR)
 
 
 def newton_direction(state: SolverState, cache: DesignCache):
@@ -135,13 +129,13 @@ def newton_direction(state: SolverState, cache: DesignCache):
 @dataclass(frozen=True)
 class SolveReport:
     final: SolverState
-    residual_trace: list = field(default_factory=list)
-    gamma_trace: list = field(default_factory=list)
-    working_sizes: list = field(default_factory=list)
-    status: SolveStatus = SolveStatus.MAX_ITER
-    certificate: PStatCertificate = None
-    wall_time: float = 0.0
-    sigma_min: float = None  # set when a Newton step's system is singular
+    residual_trace: list
+    gamma_trace: list
+    working_sizes: list
+    status: SolveStatus
+    certificate: PStatCertificate
+    wall_time: float
+    sigma_min: float  # None unless a Newton step's system is singular
 
     @property
     def constant_surface(self) -> bool:
@@ -152,8 +146,8 @@ class SolveReport:
         certificate; this flag tells such a degenerate endpoint apart.
         """
         theta = self.final.theta
-        tol = self.certificate.tolerance if self.certificate else 0.0
-        return bool(max(np.abs(theta.wtri).max(), np.abs(theta.b).max()) <= tol)
+        return bool(max(np.abs(theta.wtri).max(), np.abs(theta.b).max())
+                    <= self.certificate.tolerance)
 
     def to_dict(self) -> dict:
         theta = self.final.theta
@@ -164,7 +158,7 @@ class SolveReport:
             "residual_trace": [float(r) for r in self.residual_trace],
             "gamma_trace": [float(g) for g in self.gamma_trace],
             "working_sizes": [int(w) for w in self.working_sizes],
-            "certificate": self.certificate.to_dict() if self.certificate else None,
+            "certificate": self.certificate.to_dict(),
             "theta": {"wtri": theta.wtri.tolist(), "b": theta.b.tolist(), "c": theta.c},
             "wall_time_s": self.wall_time,
         }
@@ -201,7 +195,7 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
     if z.shape != (cache.n,):
         raise ValueError(f"z0 has shape {z.shape}, expected ({cache.n},)")
 
-    gamma = config.gamma_init
+    gamma = GAMMA_INIT
     residual_trace, gamma_trace, working_sizes = [], [], []
     sigma_min = None
     consecutive_up = 0
@@ -231,7 +225,7 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
             status = SolveStatus.DIVERGED
             break
 
-        gamma = gamma_update(gamma, config.tau, config.rho, res.norm)
+        gamma = gamma_update(gamma, config.rho, res.norm)
         gamma_trace.append(gamma)
         state = SolverState(theta=theta, z=z, gamma=gamma, residual=res, iter=k)
         try:

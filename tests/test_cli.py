@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from quadsurf.cli import main
+from quadsurf import SolverConfig
+from quadsurf.cli import _solver_config, build_parser, main
 
 
 @pytest.fixture
@@ -35,6 +36,24 @@ class TestFit:
 
     def test_missing_file_exit_two(self):
         assert main(["fit", "/nonexistent/nope.csv"]) == 2
+
+    def test_directory_path_exit_two(self, tmp_path, capsys):
+        assert main(["fit", str(tmp_path)]) == 2
+        assert main(["gen", "linear", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("error: ") == 2
+
+    def test_solver_flags_reach_their_config_fields(self):
+        args = build_parser().parse_args(["fit", "x.csv", "--lambda", "3", "--alpha", "2e-6",
+                                          "--rho", "2", "--eps", "1e-9", "--max-iter", "7"])
+        assert _solver_config(args) == SolverConfig(lam=3, alpha=2e-6, rho=2, eps=1e-9,
+                                                    max_iter=7)
+
+    @pytest.mark.parametrize("name, value", [("tau", "0.5"), ("gamma0", "0.1")])
+    def test_fixed_schedule_flags_are_rejected(self, circ_csv, name, value):
+        # the perturbation's start and shrink are constants, not flags
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", circ_csv, f"--{name}", value])
+        assert exc.value.code == 2
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_failed_warm_start_exit_three(self, tmp_path, capsys):
@@ -96,6 +115,17 @@ class TestGrid:
         lines = open(out).read().strip().splitlines()
         assert lines[0] == "x,y,h,sign"
         assert len(lines) == 26
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        [1, 2],
+        {"theta": {"wtri": [0.0, 0.0, 0.0], "b": [0.0, 0.0], "c": None}},
+    ], ids=["empty", "list", "null-c"])
+    def test_malformed_report_exit_two(self, tmp_path, capsys, doc):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        assert main(["grid", str(report), "--out", str(tmp_path / "g.csv")]) == 2
+        assert str(report) in capsys.readouterr().err
 
     def test_bad_bbox_exit_two(self, circ_csv, tmp_path):
         report = str(tmp_path / "report.json")

@@ -12,7 +12,7 @@ from quadsurf import (Dataset, GenSpec, SolveStatus, SolverConfig, SolverState,
                       SurfaceParams, accuracy, build_design, gamma_update, generate,
                       index_sets, load_csv, margins, newton_direction, rate_probe, residual,
                       solve, warm_start_point)
-from quadsurf.newton import GAMMA_FLOOR
+from quadsurf.newton import GAMMA_FLOOR, GAMMA_INIT, GAMMA_SHRINK
 from quadsurf.stationarity import solve_symmetric
 
 from conftest import iris_train, random_dataset
@@ -20,19 +20,17 @@ from conftest import iris_train, random_dataset
 
 class TestGammaUpdate:
     def test_residual_branch(self):
-        assert gamma_update(0.1, 0.5, 1.0, 0.01) == pytest.approx(0.01)
+        assert gamma_update(0.1, 1.0, 0.01) == pytest.approx(0.01)
 
     def test_shrink_branch(self):
-        assert gamma_update(0.1, 0.5, 1.0, 10.0) == pytest.approx(0.05)
+        assert gamma_update(0.1, 1.0, 10.0) == pytest.approx(GAMMA_SHRINK * 0.1)
 
     def test_floor(self):
-        assert gamma_update(0.1, 0.5, 1.0, 0.0) == GAMMA_FLOOR
+        assert gamma_update(0.1, 1.0, 0.0) == GAMMA_FLOOR
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            gamma_update(-1.0, 0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_update(0.1, 1.5, 1.0, 1.0)
+            gamma_update(-1.0, 1.0, 1.0)
 
 
 def make_state(theta, z, cache, alpha, lam, gamma):
@@ -152,14 +150,20 @@ class TestSolve:
 
     def test_gamma_rule_holds_along_trace(self, circ_data):
         cache = build_design(circ_data)
-        cfg = SolverConfig(eps=1e-12, max_iter=30)
-        th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
-        rep = solve(circ_data, cfg, start=(th0, z0))
-        gamma_prev = cfg.gamma_init
-        for r, g in zip(rep.residual_trace, rep.gamma_trace):
-            assert g == pytest.approx(max(min(cfg.tau * gamma_prev, cfg.rho * r),
-                                          GAMMA_FLOOR))
-            gamma_prev = g
+        # (config, polished start, steps on the shrink branch).  In the first run every
+        # gamma follows the residual down from 1.2e-3.  In the second the start's residual
+        # is 1.4e-13 and the third step's rises to 1.8e-13, so its gamma halves 4.6e-14.
+        runs = [(SolverConfig(eps=1e-12, max_iter=30), False, 0),
+                (SolverConfig(max_iter=3, eps=1e-16), True, 1)]
+        for cfg, polish, shrinks in runs:
+            th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=polish)
+            rep = solve(circ_data, cfg, start=(th0, z0))
+            gamma_prev, shrunk = GAMMA_INIT, 0
+            for r, g in zip(rep.residual_trace, rep.gamma_trace):
+                assert g == max(min(GAMMA_SHRINK * gamma_prev, cfg.rho * r), GAMMA_FLOOR)
+                shrunk += GAMMA_SHRINK * gamma_prev < cfg.rho * r
+                gamma_prev = g
+            assert shrunk == shrinks
 
     def test_off_working_duals_are_zeroed(self, circ_data):
         cache = build_design(circ_data)

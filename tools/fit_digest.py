@@ -62,8 +62,7 @@ def _update_with_fit(h, report):
     h.update(final.theta.to_vector().tobytes())
     h.update(np.asarray(final.z, dtype=np.float64).tobytes())
     h.update(f"{report.status.value} {final.iter}\n".encode())
-    cert = report.certificate.to_json(sort_keys=True) if report.certificate else ""
-    h.update(cert.encode())
+    h.update(report.certificate.to_json(sort_keys=True).encode())
 
 
 def _linalg_warnings(caught) -> int:
