@@ -86,13 +86,6 @@ def ls_qssvm_fit(data: Dataset, c_penalty: float = 1.0) -> SurfaceParams:
     return SurfaceParams.from_vector(_lsq_solve(cache, c_penalty), cache.m)
 
 
-def lsq_objective_gradient(theta: SurfaceParams, data: Dataset,
-                           c_penalty: float = 1.0) -> np.ndarray:
-    """Gradient of the least-squares objective, for optimality verification."""
-    H, rhs = _lsq_system(build_design(data), c_penalty)
-    return H @ theta.to_vector() - rhs
-
-
 def accuracy(theta: SurfaceParams, data: Dataset) -> float:
     """Fraction of samples labeled correctly by the surface sign."""
     return float(np.mean(predict_many(theta, data.points) == data.labels))

@@ -1,4 +1,4 @@
-"""CSV ingestion, stratified splits, method comparison, repeated-trial benchmark, grid dumps."""
+"""CSV ingestion, stratified splits, repeated-trial method benchmark, grid dumps."""
 
 import csv
 import json
@@ -212,19 +212,6 @@ def _fit_and_score(splits, methods, solver_config, trials: int, seed: int) -> li
             times[i].append(dt)
     return [_stats_row(method, accs[i], times[i], failures[i], trials, seed)
             for i, method in enumerate(methods)]
-
-
-def compare(data_train: Dataset, data_test: Dataset, methods=METHODS,
-            trials: int = 1, seed: int = 0, solver_config=None) -> list:
-    """Fit each method `trials` times on one split and tabulate test accuracy and wall time.
-
-    Both methods are deterministic given the split, so accuracy statistics
-    are reproducible bit for bit; timing varies.  Trials that end with a
-    singular system are excluded from the statistics and counted in the
-    `failures` column.
-    """
-    return _fit_and_score([(data_train, data_test)] * trials, methods, solver_config,
-                          trials, seed)
 
 
 def run_bench(data: Dataset, protocol: BenchProtocol,

@@ -6,6 +6,7 @@ errors, 3 on solver failures.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -15,7 +16,7 @@ from .baseline import accuracy
 from .datagen import GenSpec, generate
 from .model import InputError, SurfaceParams, build_design
 from .newton import SolveStatus, SolverConfig, solve
-from .stationarity import assumption_rank_check, second_order_check
+from .stationarity import second_order_check
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -61,6 +62,14 @@ def _load(args):
     return bench_mod.apply_normalizer(data, shift, scale)
 
 
+def _check_out(path):
+    """Fail before any work when the output path cannot be opened for writing."""
+    if path is not None:
+        target = path if os.path.exists(path) else os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise OSError(f"cannot write {path!r}")
+
+
 def _emit(text: str, out):
     if out:
         with open(out, "w") as fh:
@@ -93,21 +102,17 @@ def cmd_check(args) -> int:
     report = solve(data, _solver_config(args))
     cert = report.certificate
     working = report.final.working.working
-    cache = build_design(data)
-    independent, rank = assumption_rank_check(working, cache)
-    so = second_order_check(working, cache, all_subsets=args.all_subsets)
     out = {
         "solve": {"status": report.status.value, "iters": report.final.iter,
-                  "residual": report.final.residual.norm,
-                  "constant_surface": report.constant_surface},
+                  "residual": report.final.residual.norm, "regular": report.regular},
         "certificate": cert.to_dict(),
         "alpha_used": args.alpha,
         "alpha_margin_ok": cert.alpha_star > args.alpha,
         "working_size": int(working.size),
-        "rank_check": {"independent": independent, "rank": rank},
-        "second_order": {"sigma_min": so.sigma_min, "sigma_max": so.sigma_max,
-                         "nonsingular": so.nonsingular},
     }
+    if args.all_subsets:
+        out["second_order"] = {
+            "nonsingular": second_order_check(working, build_design(data))}
     _emit(json.dumps(out, indent=2), args.out)
     ok = report.status is SolveStatus.CONVERGED and cert.passed
     return EXIT_OK if ok else EXIT_SOLVER
@@ -176,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     _add_data_flags(p)
     p.add_argument("--all-subsets", action="store_true",
-                   help="sweep every working-set subset in the second-order check")
+                   help="also judge every nonempty subset of the final working set")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
 
@@ -202,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (InputError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -20,13 +20,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import LinAlgError
 
 from .baseline import warm_start_point
 from .model import Dataset, DesignCache, SurfaceParams, build_design
 from .stationarity import (IndexSets, PStatCertificate, ResidualParts, pstationary_check,
-                           residual, saddle_matrix, solve_symmetric)
+                           regular, residual, saddle_matrix, solve_symmetric)
 
 GAMMA_INIT, GAMMA_SHRINK, GAMMA_FLOOR = 0.1, 0.5, 1e-14  # see gamma_update
 SAFEGUARD_WINDOW = 5  # consecutive residual increases that end a solve as diverged
@@ -80,14 +79,6 @@ class SolverState:
         return self.residual.sets
 
 
-class SingularSystemError(RuntimeError):
-    """Augmented system could not be factored; carries the offending sigma_min."""
-
-    def __init__(self, sigma_min: float):
-        super().__init__(f"singular augmented system, sigma_min={sigma_min:.3e}")
-        self.sigma_min = sigma_min
-
-
 def gamma_update(gamma_prev: float, rho: float, resid_norm: float) -> float:
     """Perturbation update min(GAMMA_SHRINK*gamma_prev, rho*resid_norm), floored."""
     if not (gamma_prev > 0 and rho > 0 and resid_norm >= 0):
@@ -101,9 +92,9 @@ def newton_direction(state: SolverState, cache: DesignCache):
     Duals off the working set take no direction: the step resets them to
     zero.  An empty working set degenerates to the Tikhonov-damped smooth
     step (G + gamma I) d_theta = -grad f.  A system LAPACK refuses, non-finite
-    input or a non-finite solution raises SingularSystemError; a solution
-    LAPACK flags as ill-conditioned (rcond below machine epsilon) is
-    returned without a warning.
+    input or a non-finite solution gives None; a solution LAPACK flags as
+    ill-conditioned (rcond below machine epsilon) is returned without a
+    warning.
     """
     gamma = state.gamma
     if not gamma > 0:
@@ -121,8 +112,7 @@ def newton_direction(state: SolverState, cache: DesignCache):
     except ValueError:
         sol = None
     if sol is None or not np.all(np.isfinite(sol)):
-        sv = scipy.linalg.svdvals(K)
-        raise SingularSystemError(float(sv[-1]))
+        return None
     return sol[:cache.d], sol[cache.d:]
 
 
@@ -134,26 +124,16 @@ class SolveReport:
     working_sizes: list
     status: SolveStatus
     certificate: PStatCertificate
+    # `stationarity.regular` on the final working set.  The certificate can pass
+    # a point the local rate does not cover, a constant surface among them.
+    regular: bool
     wall_time: float
-    sigma_min: float  # None unless a Newton step's system is singular
-
-    @property
-    def constant_surface(self) -> bool:
-        """True when every x-dependent coefficient (wtri, b) of the final surface is
-        zero within the certificate's tolerance, so h is the constant c.
-
-        A constant surface is P-stationary on any data, so it can pass the
-        certificate; this flag tells such a degenerate endpoint apart.
-        """
-        theta = self.final.theta
-        return bool(max(np.abs(theta.wtri).max(), np.abs(theta.b).max())
-                    <= self.certificate.tolerance)
 
     def to_dict(self) -> dict:
         theta = self.final.theta
         return {
             "status": self.status.value,
-            "constant_surface": self.constant_surface,
+            "regular": self.regular,
             "iters": self.final.iter,
             "residual_trace": [float(r) for r in self.residual_trace],
             "gamma_trace": [float(g) for g in self.gamma_trace],
@@ -179,6 +159,8 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
     the solve with status `diverged`; an unfactorable system ends it with
     `singular_system` and the partial trace retained, as does a failed
     solve in the warm start, at theta = 0 and z = 0 before any step.
+    Whatever the status, the report certifies the final point and judges
+    whether its working set is `regular`.
     """
     t0 = time.perf_counter()
     cache = build_design(data)
@@ -197,7 +179,6 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
 
     gamma = GAMMA_INIT
     residual_trace, gamma_trace, working_sizes = [], [], []
-    sigma_min = None
     consecutive_up = 0
     k = 0
     while True:
@@ -228,12 +209,11 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
         gamma = gamma_update(gamma, config.rho, res.norm)
         gamma_trace.append(gamma)
         state = SolverState(theta=theta, z=z, gamma=gamma, residual=res, iter=k)
-        try:
-            d_theta, d_z_working = newton_direction(state, cache)
-        except SingularSystemError as err:
+        direction = newton_direction(state, cache)
+        if direction is None:
             status = SolveStatus.SINGULAR_SYSTEM
-            sigma_min = err.sigma_min
             break
+        d_theta, d_z_working = direction
 
         theta = SurfaceParams.from_vector(theta.to_vector() + d_theta, cache.m)
         z_new = np.zeros(cache.n)
@@ -246,7 +226,8 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
                                     tol=config.eps * 10.0)
     return SolveReport(final=final, residual_trace=residual_trace, gamma_trace=gamma_trace,
                        working_sizes=working_sizes, status=status, certificate=certificate,
-                       wall_time=time.perf_counter() - t0, sigma_min=sigma_min)
+                       regular=regular(res.sets.working, cache),
+                       wall_time=time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ to a zero of the block residual
     Psi(theta, z) = ( grad f + a_T' z_T,  F(theta)_T,  z_{T^c} ),
 
 so the residual norm doubles as a computable optimality certificate.
+`regular` judges the working set itself: whether the saddle system over T
+is nonsingular, the assumption behind the Newton iteration's local
+quadratic rate.
 """
 
 import functools
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .model import DesignCache, SurfaceParams, margins, smooth_gradient
@@ -193,51 +195,6 @@ def pstationary_check(theta: SurfaceParams, z: np.ndarray, alpha: float, lam: fl
     )
 
 
-@dataclass(frozen=True)
-class MultiplierRecovery:
-    z: np.ndarray
-    rank: int
-    rank_deficient: bool
-    grad_residual: float
-
-
-def recover_multiplier(theta: SurfaceParams, working: np.ndarray,
-                       cache: DesignCache) -> MultiplierRecovery:
-    """Least-squares dual for a working set: min over z_T of ||grad f + a_T' z_T||.
-
-    Entries off the working set are zero.  A rank-deficient a_T is flagged and
-    the minimum-norm solution returned.
-    """
-    working = np.asarray(working, dtype=int).ravel()
-    z = np.zeros(cache.n)
-    g = smooth_gradient(theta, cache)
-    if working.size == 0:
-        return MultiplierRecovery(z=z, rank=0, rank_deficient=False,
-                                  grad_residual=float(np.linalg.norm(g)))
-    At = cache.a[working].T  # (d, |T|)
-    sol, _, rank, _ = np.linalg.lstsq(At, -g, rcond=None)
-    z[working] = sol
-    res = float(np.linalg.norm(g + At @ sol))
-    return MultiplierRecovery(z=z, rank=int(rank),
-                              rank_deficient=bool(rank < working.size), grad_residual=res)
-
-
-def assumption_rank_check(working: np.ndarray, cache: DesignCache):
-    """Linear independence of the margin-gradient rows on the working set.
-
-    Returns (independent, numeric_rank); rank uses the singular-value cutoff
-    max(dims) * eps * sigma_max.
-    """
-    working = np.asarray(working, dtype=int).ravel()
-    if working.size == 0:
-        return True, 0
-    A = cache.a[working]
-    sv = np.linalg.svd(A, compute_uv=False)
-    cutoff = max(A.shape) * _EPS * (sv[0] if sv.size else 0.0)
-    rank = int(np.count_nonzero(sv > cutoff))
-    return rank == working.size, rank
-
-
 def saddle_matrix(working: np.ndarray, cache: DesignCache, gamma: float = 0.0) -> np.ndarray:
     """Assemble the symmetric augmented matrix [[G, a_T'], [a_T, -gamma I]]."""
     working = np.asarray(working, dtype=int).ravel()
@@ -288,38 +245,35 @@ def solve_symmetric(K: np.ndarray, rhs: np.ndarray, positive_definite: bool = Fa
     return None, 0.0
 
 
-@dataclass(frozen=True)
-class SecondOrderReport:
-    sigma_min: float
-    sigma_max: float
-    nonsingular: bool
+def regular(working: np.ndarray, cache: DesignCache) -> bool:
+    """Whether the gamma = 0 saddle matrix over the working set T is nonsingular.
 
-
-def second_order_check(working: np.ndarray, cache: DesignCache, gamma: float = 0.0,
-                       all_subsets: bool = False) -> SecondOrderReport:
-    """Extreme singular values of the augmented matrix over the working set.
-
-    Nonsingularity of this matrix is the computable second-order sufficiency
-    surrogate.  With `all_subsets` (permitted up to |working| = 12) the sweep
-    covers every subset of the working set and reports the worst sigma_min;
-    by default only the given set is factored.
+    With G positive semidefinite this holds exactly when a_T has full row
+    rank and G is positive definite on the null space of a_T (Nocedal &
+    Wright, Lemma 16.1): the regularity the local quadratic rate assumes.
+    More than d rows cannot be independent, so such a set is judged with no
+    factorization.  Otherwise the saddle is solved as every other system
+    is, and the set is regular unless LAPACK refuses the solve or flags it
+    (rcond below machine epsilon).  An empty set is never regular: its
+    saddle is G alone, which has no curvature in c.
     """
     working = np.asarray(working, dtype=int).ravel()
-    subsets = [working]
-    if all_subsets:
-        if working.size > 12:
-            raise ValueError(f"subset sweep limited to 12 indices, got {working.size}")
-        subsets = [np.array(s, dtype=int)
-                   for r in range(working.size + 1)
-                   for s in itertools.combinations(working.tolist(), r)]
+    if working.size > cache.d:
+        return False
+    K = saddle_matrix(working, cache)
+    x, rcond = solve_symmetric(K, np.zeros(K.shape[0]))
+    return x is not None and rcond >= _EPS
 
-    sigma_min = math.inf
-    sigma_max = 0.0
-    nonsingular = True
-    for sub in subsets:
-        sv = scipy.linalg.svdvals(saddle_matrix(sub, cache, gamma))
-        lo, hi = float(sv[-1]), float(sv[0])
-        sigma_min = min(sigma_min, lo)
-        sigma_max = max(sigma_max, hi)
-        nonsingular = nonsingular and bool(lo > cache.d * _EPS * hi)
-    return SecondOrderReport(sigma_min=sigma_min, sigma_max=sigma_max, nonsingular=nonsingular)
+
+def second_order_check(working: np.ndarray, cache: DesignCache) -> bool:
+    """Whether every nonempty subset of the working set is `regular`.
+
+    The sweep is permitted up to |working| = 12.  The empty subset is left
+    out: it is never regular, so it would decide every sweep.
+    """
+    working = np.asarray(working, dtype=int).ravel()
+    if working.size > 12:
+        raise ValueError(f"subset sweep limited to 12 indices, got {working.size}")
+    return all(regular(np.array(s, dtype=int), cache)
+               for r in range(1, working.size + 1)
+               for s in itertools.combinations(working.tolist(), r))

@@ -8,11 +8,11 @@ from scipy.linalg import LinAlgError, LinAlgWarning
 import quadsurf.baseline as qs_baseline
 import quadsurf.newton as qs_newton
 from quadsurf import (BenchProtocol, Dataset, DesignCache, GenSpec, Normalize, SolverConfig,
-                      SolveStatus, accuracy, apply_normalizer, build_design, compare,
-                      fit_normalizer, generate, load_csv, ls_qssvm_fit, lsq_objective_gradient,
-                      margins, param_dim, run_bench, smooth_gradient, solve, split, tri_dim,
-                      warm_start_point)
-from quadsurf.baseline import _active_set_polish, _hinge_sq_minimize
+                      SolveStatus, accuracy, apply_normalizer, build_design, fit_normalizer,
+                      generate, load_csv, ls_qssvm_fit, margins, param_dim, run_bench,
+                      smooth_gradient, solve, split, tri_dim, warm_start_point)
+from quadsurf.baseline import _active_set_polish, _hinge_sq_minimize, _lsq_system
+from quadsurf.bench import METHODS, _fit_and_score
 from quadsurf.model import _pairs
 from quadsurf.stationarity import solve_symmetric
 
@@ -107,7 +107,8 @@ def polish_setup(data, lam):
 class TestLsqFit:
     def test_exact_minimizer(self, rng, circ_data):
         theta = ls_qssvm_fit(circ_data)
-        g = lsq_objective_gradient(theta, circ_data)
+        H, rhs = _lsq_system(build_design(circ_data), 1.0)
+        g = H @ theta.to_vector() - rhs
         assert np.linalg.norm(g) <= 1e-8 * (1.0 + np.linalg.norm(theta.to_vector()))
 
     def test_circular_accuracy(self, circ_data):
@@ -322,6 +323,27 @@ def spy_stages(monkeypatch):
     return stages
 
 
+class TestLapackRoute:
+    def test_bunch_kaufman_route_gives_the_same_fits(self, monkeypatch):
+        # the warm start's positive-definite solves sent through dsytrf instead
+        # of Cholesky: every fit keeps its working set and its theta
+        cfg = SolverConfig(lam=100.0)
+        expect = [solve(iris_train(77, t), cfg) for t in range(16)]
+        rerouted = []
+
+        def bunch_kaufman(K, rhs, positive_definite=False):
+            rerouted.append(positive_definite)
+            return solve_symmetric(K, rhs)
+
+        monkeypatch.setattr(qs_baseline, "solve_symmetric", bunch_kaufman)
+        for t, exp in enumerate(expect):
+            rep = solve(iris_train(77, t), cfg)
+            np.testing.assert_array_equal(rep.final.working.working, exp.final.working.working)
+            np.testing.assert_allclose(rep.final.theta.to_vector(), exp.final.theta.to_vector(),
+                                       rtol=0.0, atol=1e-7)
+        assert any(rerouted)
+
+
 class TestContinuationStart:
     @pytest.mark.parametrize("seed, trial", [(77, t) for t in range(8)] + [(9000, 87)])
     def test_same_warm_start_as_a_continuation_from_1e2(self, monkeypatch, seed, trial):
@@ -467,12 +489,14 @@ class TestHingeLoop:
 
 
 class TestCompare:
+    """`_fit_and_score`, the per-split method comparison inside `run_bench`."""
+
     def test_rows_schema_and_determinism(self, circ_data, rng):
         perm = rng.permutation(circ_data.n)
         train = Dataset(circ_data.points[perm[:70]], circ_data.labels[perm[:70]])
         test = Dataset(circ_data.points[perm[70:]], circ_data.labels[perm[70:]])
-        rows1 = compare(train, test, trials=2, seed=0)
-        rows2 = compare(train, test, trials=2, seed=0)
+        rows1 = _fit_and_score([(train, test)] * 2, METHODS, None, 2, 0)
+        rows2 = _fit_and_score([(train, test)] * 2, METHODS, None, 2, 0)
         assert [r["method"] for r in rows1] == ["newton_l01", "ls_qssvm"]
         for r1, r2 in zip(rows1, rows2):
             for key in ("acc_min", "acc_max", "acc_mean", "acc_var", "failures"):
@@ -482,26 +506,26 @@ class TestCompare:
         from quadsurf import split
         data = generate(GenSpec(kind="linear", n_per_class=40, seed=0))
         train, test = split(data, 0.75, seed=0)
-        rows = compare(train, test, methods=("ls_qssvm",), trials=1, seed=1)
+        rows = _fit_and_score([(train, test)], ("ls_qssvm",), None, 1, 1)
         assert rows[0]["acc_mean"] == pytest.approx(100.0)
 
     def test_newton_at_least_close_to_ls(self, circ_data, rng):
         perm = np.random.default_rng(3).permutation(circ_data.n)
         train = Dataset(circ_data.points[perm[:70]], circ_data.labels[perm[:70]])
         test = Dataset(circ_data.points[perm[70:]], circ_data.labels[perm[70:]])
-        rows = compare(train, test, trials=1, seed=0)
+        rows = _fit_and_score([(train, test)], METHODS, None, 1, 0)
         by = {r["method"]: r for r in rows}
         assert by["newton_l01"]["acc_mean"] >= by["ls_qssvm"]["acc_mean"] - 1.0
 
     def test_rejects_unknown_method(self, circ_data):
         with pytest.raises(ValueError):
-            compare(circ_data, circ_data, methods=("svm",), trials=1)
+            _fit_and_score([(circ_data, circ_data)], ("svm",), None, 1, 0)
 
     def test_rows_share_bench_serializers(self, tmp_path, circ_data):
         from quadsurf import split
         from quadsurf.bench import rows_to_csv, rows_to_json
         train, test = split(circ_data, 0.8, seed=0)
-        rows = compare(train, test, trials=1, seed=0)
+        rows = _fit_and_score([(train, test)], METHODS, None, 1, 0)
         path = tmp_path / "cmp.csv"
         rows_to_csv(rows, path)
         assert path.read_text().startswith("method,")
@@ -513,8 +537,8 @@ class TestCompare:
         train, test = split(data, 0.8, np.random.SeedSequence(entropy=9000, spawn_key=(0,)))
         shift, scale = fit_normalizer(train.points, Normalize.ZSCORE)
         config = SolverConfig(lam=100.0)
-        rows = compare(apply_normalizer(train, shift, scale), apply_normalizer(test, shift, scale),
-                       trials=1, seed=9000, solver_config=config)
+        rows = _fit_and_score([(apply_normalizer(train, shift, scale),
+                                apply_normalizer(test, shift, scale))], METHODS, config, 1, 9000)
         bench_rows = run_bench(data, protocol, config)
         assert [r["method"] for r in rows] == [r["method"] for r in bench_rows]
         for r, b in zip(rows, bench_rows):
@@ -526,7 +550,7 @@ class TestCompare:
         import dataclasses
         import quadsurf.newton as qs_newton
         train, test = split(circ_data, 0.8, seed=0)
-        clean = {r["method"]: r for r in compare(train, test, trials=1, seed=0)}
+        clean = {r["method"]: r for r in _fit_and_score([(train, test)], METHODS, None, 1, 0)}
         real_solve = qs_newton.solve
         calls = []
 
@@ -538,7 +562,7 @@ class TestCompare:
             return dataclasses.replace(report, status=SolveStatus.SINGULAR_SYSTEM)
 
         monkeypatch.setattr(qs_newton, "solve", singular_every_other_call)
-        by = {r["method"]: r for r in compare(train, test, trials=3, seed=0)}
+        by = {r["method"]: r for r in _fit_and_score([(train, test)] * 3, METHODS, None, 3, 0)}
         assert by["newton_l01"]["failures"] == 2
         assert by["newton_l01"]["trials"] == 3
         for key in ("acc_min", "acc_max", "acc_mean", "acc_var"):
@@ -549,7 +573,7 @@ class TestCompare:
         monkeypatch.setattr(qs_newton, "solve",
                             lambda data, config: dataclasses.replace(
                                 real_solve(data, config), status=SolveStatus.SINGULAR_SYSTEM))
-        only = compare(train, test, methods=("newton_l01",), trials=2, seed=0)[0]
+        only = _fit_and_score([(train, test)] * 2, ("newton_l01",), None, 2, 0)[0]
         assert only["failures"] == 2
         assert np.isnan(only["acc_mean"]) and np.isnan(only["mean_time_s"])
 

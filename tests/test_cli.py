@@ -1,8 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import quadsurf.cli as qs_cli
+import quadsurf.model as qs_model
+import quadsurf.newton as qs_newton
 from quadsurf import SolverConfig
 from quadsurf.cli import _solver_config, build_parser, main
 
@@ -29,7 +33,7 @@ class TestFit:
         assert code == 0
         rep = json.loads(open(out).read())
         assert rep["status"] == "converged"
-        assert rep["constant_surface"] is False
+        assert rep["regular"] is True
         assert rep["certificate"]["passed"] is True
         assert len(rep["theta"]["wtri"]) == 3
         assert "train_acc=100.00%" in capsys.readouterr().out
@@ -41,6 +45,23 @@ class TestFit:
         assert main(["fit", str(tmp_path)]) == 2
         assert main(["gen", "linear", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.count("error: ") == 2
+
+    def test_unwritable_out_fails_before_the_solve(self, circ_csv, tmp_path, monkeypatch,
+                                                   capsys):
+        calls = []
+        real_solve = qs_newton.solve
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(qs_cli, "solve", spy)
+        monkeypatch.setattr(qs_newton, "solve", spy)
+        for out in (str(tmp_path), str(tmp_path / "missing" / "out.json")):
+            for command in ("fit", "check", "bench"):
+                assert main([command, circ_csv, "--out", out]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.count("error: cannot write") == 6
 
     def test_solver_flags_reach_their_config_fields(self):
         args = build_parser().parse_args(["fit", "x.csv", "--lambda", "3", "--alpha", "2e-6",
@@ -80,10 +101,29 @@ class TestCheck:
         assert code == 0
         cert = json.loads(open(out).read())
         assert cert["solve"]["status"] == "converged"
-        assert cert["solve"]["constant_surface"] is False
+        assert cert["solve"]["regular"] is True
         assert cert["certificate"]["passed"] is True
         assert cert["alpha_margin_ok"] is True
-        assert cert["rank_check"]["independent"] is True
+        assert "second_order" not in cert
+
+    def test_design_built_only_for_the_subset_sweep(self, circ_csv, tmp_path, monkeypatch):
+        calls = []
+        orig = qs_model.build_design
+
+        def spy(data):
+            calls.append(1)
+            return orig(data)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("quadsurf") and mod is not None \
+                    and mod.__dict__.get("build_design") is orig:
+                monkeypatch.setattr(mod, "build_design", spy)
+        out = str(tmp_path / "cert.json")
+        assert main(["check", circ_csv, "--out", out]) == 0
+        assert len(calls) == 1
+        assert main(["check", circ_csv, "--all-subsets", "--out", out]) == 0
+        assert len(calls) == 3
+        cert = json.loads(open(out).read())
         assert cert["second_order"]["nonsingular"] is True
 
 

@@ -16,11 +16,12 @@ def test_same_digest_twice():
     first = run_digest("--seeds", "77", "9000", "--trials", "2")
     second = run_digest("--seeds", "77", "9000", "--trials", "2")
     assert first == second
-    assert set(first) == {"digest", "linalg_warnings", "accuracy_pct", "noisy_digest",
-                          "degenerate_digest", "degenerate_warnings"}
+    assert set(first) == {"digest", "linalg_warnings", "accuracy_pct", "regular_fits",
+                          "noisy_digest", "degenerate_digest", "degenerate_warnings"}
     assert len(first["digest"]) == len(first["noisy_digest"]) == 64
     assert len(first["degenerate_digest"]) == 64
     assert 0.0 <= float(first["accuracy_pct"]) <= 100.0
+    assert 0 <= int(first["regular_fits"]) <= 4
     assert int(first["degenerate_warnings"]) >= 0
     # a different trial set must change the iris digest, not the fixed-set ones
     other = run_digest("--seeds", "77", "--trials", "2")

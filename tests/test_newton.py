@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -12,6 +11,7 @@ from quadsurf import (Dataset, GenSpec, SolveStatus, SolverConfig, SolverState,
                       SurfaceParams, accuracy, build_design, gamma_update, generate,
                       index_sets, load_csv, margins, newton_direction, rate_probe, residual,
                       solve, warm_start_point)
+from quadsurf.baseline import _lsq_solve
 from quadsurf.newton import GAMMA_FLOOR, GAMMA_INIT, GAMMA_SHRINK
 from quadsurf.stationarity import solve_symmetric
 
@@ -191,10 +191,10 @@ class TestSolve:
         rep = solve(circ_data, SolverConfig())
         d = rep.to_dict()
         assert d["status"] == "converged"
-        assert set(d) == {"status", "constant_surface", "iters", "residual_trace",
+        assert set(d) == {"status", "regular", "iters", "residual_trace",
                           "gamma_trace", "working_sizes", "certificate", "theta",
                           "wall_time_s"}
-        assert d["constant_surface"] is False
+        assert d["regular"] is True
         assert len(d["theta"]["wtri"]) == 3
         rep.to_json()
 
@@ -259,33 +259,56 @@ class TestStart:
         assert len(calls) == rep.final.iter + 2
 
 
+def is_constant(rep):
+    """Whether every x-dependent coefficient of the final surface is zero within
+    the certificate's tolerance, so h is the constant c."""
+    theta = rep.final.theta
+    return max(np.abs(theta.wtri).max(), np.abs(theta.b).max()) <= rep.certificate.tolerance
+
+
+def assert_certified(rep):
+    assert rep.status is SolveStatus.CONVERGED and rep.certificate.passed
+
+
 class TestConstantSurface:
-    def test_certified_constant_surface_is_flagged(self):
+    """A constant surface is P-stationary on any data, so it can pass the
+    certificate; `regular` tells such an endpoint apart."""
+
+    def test_certified_constant_endpoint_is_flagged(self):
         # the served surface of predict-row set-up seed 67 (circular classes, 1000 per
         # class, noise 0.3) certifies at W = 0, b = 0, c = 1: every point labeled -1
         seed = int(np.random.SeedSequence([67, 0]).generate_state(1)[0])
         data = generate(GenSpec(kind="circular", n_per_class=1000, seed=seed, noise=0.3))
         rep = solve(data, SolverConfig(lam=100.0))
-        assert rep.status is SolveStatus.CONVERGED and rep.certificate.passed
-        assert rep.constant_surface
-        assert rep.to_dict()["constant_surface"] is True
+        assert_certified(rep)
+        assert is_constant(rep)
+        assert not rep.regular
+        assert rep.to_dict()["regular"] is False
 
     def test_iris_fit_is_not_constant(self):
         rep = solve(iris_train(77, 0), SolverConfig(lam=100.0))
-        assert rep.status is SolveStatus.CONVERGED and rep.certificate.passed
-        assert not rep.constant_surface
+        assert_certified(rep)
+        assert not is_constant(rep)
+        assert rep.regular
 
-    def test_coefficients_compared_with_the_certificate_tolerance(self, circ_data):
-        rep = solve(circ_data, SolverConfig(lam=100.0))
-        tol = rep.certificate.tolerance
+    def test_iris_fit_with_twin_rows_is_not_regular(self):
+        # trial 5 of seed 77 ends with two equal rows of a in its working set
+        data = iris_train(77, 5)
+        rep = solve(data, SolverConfig(lam=100.0))
+        assert_certified(rep)
+        rows = build_design(data).a[rep.final.working.working]
+        assert np.unique(rows, axis=0).shape[0] < rows.shape[0]
+        assert not rep.regular
 
-        def with_coefficients(size):
-            theta = SurfaceParams(np.array([size, -size, 0.0]), np.array([0.0, size]), 1.0)
-            return dataclasses.replace(rep, final=dataclasses.replace(rep.final, theta=theta))
-
-        assert with_coefficients(3e-12).constant_surface  # as at set-up seed 420
-        assert with_coefficients(tol).constant_surface
-        assert not with_coefficients(2.0 * tol).constant_surface
+    def test_constant_endpoint_from_the_ls_start_is_not_regular(self):
+        # Newton from the least-squares point with zero duals certifies h = const
+        data = iris_train(77, 0)
+        cache = build_design(data)
+        start = (SurfaceParams.from_vector(_lsq_solve(cache, 100.0), cache.m), np.zeros(cache.n))
+        rep = solve(data, SolverConfig(lam=100.0), start=start)
+        assert_certified(rep)
+        assert is_constant(rep)
+        assert not rep.regular
 
 
 class TestSolveFailures:
@@ -304,7 +327,6 @@ class TestSolveFailures:
         monkeypatch.setattr(qs_newton, "solve_symmetric", fail_second_step)
         rep = solve(circ_data, cfg, start=(th0, z0))
         assert rep.status is SolveStatus.SINGULAR_SYSTEM
-        assert math.isfinite(rep.sigma_min) and rep.sigma_min >= 0.0
         assert rep.final.iter == 1
         assert len(rep.residual_trace) == len(rep.gamma_trace) == 2
         assert len(rep.working_sizes) == 2

@@ -8,9 +8,10 @@ import pytest
 import scipy.linalg
 from scipy.linalg import LinAlgError, LinAlgWarning
 
-from quadsurf import (Dataset, ProxParams, SurfaceParams, alpha_bounds, assumption_rank_check,
-                      build_design, index_sets, margins, pstationary_check,
-                      recover_multiplier, residual, second_order_check, smooth_gradient)
+import quadsurf.stationarity as qs_stationarity
+from quadsurf import (Dataset, ProxParams, SurfaceParams, alpha_bounds, build_design,
+                      index_sets, margins, pstationary_check, regular, residual,
+                      second_order_check, smooth_gradient)
 from quadsurf.stationarity import saddle_matrix, solve_symmetric
 
 from conftest import random_dataset
@@ -250,98 +251,77 @@ class TestPStationaryCheck:
         cert.to_json()
 
 
-class TestRecoverMultiplier:
-    def test_zero_gradient(self, small_cache):
-        rec = recover_multiplier(SurfaceParams.zeros(3), np.array([0, 1]), small_cache)
-        np.testing.assert_allclose(rec.z, 0.0, atol=1e-12)
-
-    def test_empty_working(self, rng, small_cache):
-        v = rng.normal(size=small_cache.d)
-        rec = recover_multiplier(SurfaceParams.from_vector(v, 3), np.array([], dtype=int),
-                                 small_cache)
-        np.testing.assert_array_equal(rec.z, 0.0)
-
-    def test_recovers_planted_multiplier(self, rng):
-        # build theta with grad f = -a_T' z0 by construction, recover z0
-        data, cache, theta, z, T = exact_pair(rng)
-        rec = recover_multiplier(theta, T, cache)
-        np.testing.assert_allclose(rec.z[T], z[T], rtol=1e-8, atol=1e-10)
-        assert rec.grad_residual < 1e-8
-        assert not rec.rank_deficient
-
-    def test_flags_rank_deficiency(self, rng):
-        pts = rng.normal(size=(3, 2))
-        pts[1] = pts[0]
-        data = Dataset(points=pts, labels=np.array([1.0, 1.0, -1.0]))
-        cache = build_design(data)
-        v = rng.normal(size=cache.d)
-        rec = recover_multiplier(SurfaceParams.from_vector(v, 2), np.array([0, 1]), cache)
-        assert rec.rank_deficient
-
-
 class TestRankCheck:
+    """`regular` fails when the rows of a_T are dependent."""
+
     def test_duplicate_rows(self, rng):
         pts = rng.normal(size=(4, 2))
         pts[2] = pts[0]
         data = Dataset(points=pts, labels=np.array([1.0, -1.0, 1.0, -1.0]))
         cache = build_design(data)
-        ok, rank = assumption_rank_check(np.array([0, 2]), cache)
-        assert not ok and rank == 1
+        assert not regular(np.array([0, 2]), cache)
+        assert regular(np.array([0, 1]), cache)
 
     def test_empty_is_independent(self, small_cache):
-        ok, rank = assumption_rank_check(np.array([], dtype=int), small_cache)
-        assert ok and rank == 0
+        # no rows are independent rows, but the saddle is G alone, which has no
+        # curvature in c; any one row, whose c entry is -y_i, supplies it
+        assert not regular(np.array([], dtype=int), small_cache)
+        assert regular(np.array([0]), small_cache)
 
     def test_generic_rows_independent(self, rng):
         data = random_dataset(rng, 10, 2)
         cache = build_design(data)
-        ok, rank = assumption_rank_check(np.array([0, 3, 7]), cache)
-        assert ok and rank == 3
+        assert regular(np.array([0, 3, 7]), cache)
         # cross-check with an independent factorization
         assert np.linalg.matrix_rank(cache.a[[0, 3, 7]]) == 3
+
+    def test_more_rows_than_d_judged_without_a_solve(self, rng, monkeypatch):
+        cache = build_design(random_dataset(rng, 10, 2))
+        calls = []
+
+        def spy(K, rhs, positive_definite=False):
+            calls.append(K.shape)
+            return solve_symmetric(K, rhs, positive_definite)
+
+        monkeypatch.setattr(qs_stationarity, "solve_symmetric", spy)
+        assert not regular(np.arange(cache.d + 1), cache)
+        assert calls == []
+        assert regular(np.arange(cache.d), cache)
+        assert calls == [(2 * cache.d, 2 * cache.d)]
 
 
 class TestSecondOrder:
     def test_empty_working_singular(self, small_cache):
         # G alone has a zero c-row, hence singular
-        rep = second_order_check(np.array([], dtype=int), small_cache)
-        assert not rep.nonsingular
-        assert rep.sigma_min < 1e-12 * rep.sigma_max
+        assert not regular(np.array([], dtype=int), small_cache)
+        assert np.linalg.matrix_rank(small_cache.G) < small_cache.d
 
     def test_m1_instance_nonsingular(self, rng):
         data = Dataset(points=np.array([[1.0], [-1.0], [0.5]]),
                        labels=np.array([1.0, -1.0, 1.0]))
         cache = build_design(data)
-        rep = second_order_check(np.array([0, 1]), cache)
         K = saddle_matrix(np.array([0, 1]), cache, 0.0)
-        assert rep.nonsingular
+        assert regular(np.array([0, 1]), cache)
         assert np.linalg.matrix_rank(K) == K.shape[0]
-
-    def test_gamma_perturbation_bound(self, rng):
-        data = random_dataset(rng, 6, 2)
-        cache = build_design(data)
-        T = np.array([0, 2, 4])
-        base = second_order_check(T, cache, gamma=0.0)
-        gamma = 0.05
-        pert = second_order_check(T, cache, gamma=gamma)
-        assert pert.sigma_min >= base.sigma_min - gamma - 1e-12
 
     def test_subset_sweep(self, rng):
         data = random_dataset(rng, 6, 2)
         cache = build_design(data)
         T = np.array([0, 1])
-        full = second_order_check(T, cache, all_subsets=True)
-        singles = [second_order_check(np.array(s, dtype=int), cache)
-                   for s in ([], [0], [1], [0, 1])]
-        assert full.sigma_min == pytest.approx(min(s.sigma_min for s in singles))
-        assert full.sigma_max == pytest.approx(max(s.sigma_max for s in singles))
-        assert full.nonsingular == all(s.nonsingular for s in singles)
+        singles = [regular(np.array(s, dtype=int), cache) for s in ([0], [1], [0, 1])]
+        assert second_order_check(T, cache) == all(singles)
+        # a twin pair fails the sweep through the full set, though each row passes
+        pts = data.points.copy()
+        pts[2] = pts[0]
+        twins = build_design(Dataset(points=pts, labels=data.labels))
+        assert regular(np.array([0]), twins) and regular(np.array([2]), twins)
+        assert not second_order_check(np.array([0, 2]), twins)
 
     def test_subset_sweep_cap(self, rng):
         data = random_dataset(rng, 15, 2)
         cache = build_design(data)
         with pytest.raises(ValueError):
-            second_order_check(np.arange(13), cache, all_subsets=True)
+            second_order_check(np.arange(13), cache)
 
 
 class TestEquivalence:

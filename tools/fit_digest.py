@@ -10,7 +10,7 @@ also fits six noisy circular draws (600 per class, noise 0.3, seeds
 100-105, lam = 100), which take Newton steps, and 60 degenerate designs,
 whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
 0-19, lam = 100) made collinear (x2 = 2 x1), given a duplicated feature
-(x, y, y) or a constant one (x, y, 1).  It prints six lines:
+(x, y, y) or a constant one (x, y, 1).  It prints seven lines:
 
     digest             sha256 over theta, z, status, iterations and the
                        certificate JSON of every Newton fit, the LS fit's
@@ -18,6 +18,8 @@ whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
     linalg_warnings    LinAlgWarnings raised by the iris fits
     accuracy_pct       mean Newton test accuracy, singular-system fits left
                        out as `run_bench` leaves them out
+    regular_fits       iris Newton fits whose final working set is regular
+                       (`SolveReport.regular`); it enters no digest
     noisy_digest       sha256 over theta, z, status, iterations and the
                        certificate JSON of the noisy circular fits
     degenerate_digest  the same over the degenerate fits, with each
@@ -70,10 +72,11 @@ def _linalg_warnings(caught) -> int:
 
 
 def fit_digest(seeds, trials: int):
-    """(sha256 hex digest, LinAlgWarning count, mean Newton accuracy in %)."""
+    """(sha256 hex digest, LinAlgWarning count, mean Newton accuracy in %, regular fits)."""
     data = load_csv(IRIS_CSV, class_pair=(1, 2))
     h = hashlib.sha256()
     accs = []
+    n_regular = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LinAlgWarning)
         for seed in seeds:
@@ -86,6 +89,7 @@ def fit_digest(seeds, trials: int):
 
                 report = solve(train, SOLVER)
                 _update_with_fit(h, report)
+                n_regular += report.regular
                 labels = predict_many(report.final.theta, test.points)
                 h.update(labels.tobytes())
 
@@ -95,7 +99,8 @@ def fit_digest(seeds, trials: int):
 
                 if report.status is not SolveStatus.SINGULAR_SYSTEM:
                     accs.append(100.0 * float(np.mean(labels == test.labels)))
-    return h.hexdigest(), _linalg_warnings(caught), float(np.mean(accs)) if accs else float("nan")
+    acc = float(np.mean(accs)) if accs else float("nan")
+    return h.hexdigest(), _linalg_warnings(caught), acc, n_regular
 
 
 def noisy_digest():
@@ -135,11 +140,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.trials < 1:
         ap.error("--trials must be >= 1")
-    digest, n_warn, acc = fit_digest(args.seeds, args.trials)
+    digest, n_warn, acc, n_regular = fit_digest(args.seeds, args.trials)
     degenerate, n_degenerate_warn = degenerate_digest()
     print(f"digest               {digest}")
     print(f"linalg_warnings      {n_warn}")
     print(f"accuracy_pct         {acc:.3f}")
+    print(f"regular_fits         {n_regular}")
     print(f"noisy_digest         {noisy_digest()}")
     print(f"degenerate_digest    {degenerate}")
     print(f"degenerate_warnings  {n_degenerate_warn}")
