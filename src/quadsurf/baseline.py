@@ -152,7 +152,7 @@ def _hinge_sq_minimize(th, F, Gth, A, G, mu, passes=80):
     return th, F, Gth
 
 
-def warm_start_point(cache: DesignCache, lam: float, alpha: float, polish: bool = True):
+def warm_start_point(cache: DesignCache, *, alpha: float, lam: float, polish: bool = True):
     """Initial (theta0, z0) for the Newton solver on the design `cache`.
 
     Pipeline: least-squares surface fit (C = 100), rescaled to unit minimum

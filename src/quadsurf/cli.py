@@ -1,7 +1,10 @@
-"""Command-line front end: gen / fit / check / bench / grid.
+"""Command-line front end: gen / fit / bench / grid.
 
-Exit codes: 0 on success (converged fit, completed run), 2 on input
-errors, 3 on solver failures.
+`fit` trains, certifies and writes the library's own record of the fit,
+`SolveReport.to_dict()`; with `--all-subsets` it adds the one key
+`second_order`.  Exit codes: 0 on success (a converged fit whose
+certificate passes, a completed run), 2 on input errors, 3 on solver
+failures (a fit that did not converge or is not certified).
 """
 
 import argparse
@@ -70,14 +73,6 @@ def _check_out(path):
             raise OSError(f"cannot write {path!r}")
 
 
-def _emit(text: str, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text)
-
-
 def cmd_gen(args) -> int:
     data = generate(GenSpec(kind=args.kind, n_per_class=args.n_per_class,
                             seed=args.seed, noise=args.noise))
@@ -91,30 +86,17 @@ def cmd_fit(args) -> int:
     report = solve(data, _solver_config(args))
     acc = 100.0 * accuracy(report.final.theta, data)
     print(f"status={report.status.value} iters={report.final.iter} "
-          f"residual={report.final.residual.norm:.3e} train_acc={acc:.2f}%")
-    if args.out:
-        _emit(report.to_json(indent=2), args.out)
-    return EXIT_OK if report.status is SolveStatus.CONVERGED else EXIT_SOLVER
-
-
-def cmd_check(args) -> int:
-    data = _load(args)
-    report = solve(data, _solver_config(args))
-    cert = report.certificate
-    working = report.final.working.working
-    out = {
-        "solve": {"status": report.status.value, "iters": report.final.iter,
-                  "residual": report.final.residual.norm, "regular": report.regular},
-        "certificate": cert.to_dict(),
-        "alpha_used": args.alpha,
-        "alpha_margin_ok": cert.alpha_star > args.alpha,
-        "working_size": int(working.size),
-    }
+          f"residual={report.final.residual.norm:.3e} train_acc={acc:.2f}% "
+          f"certified={report.certificate.passed} regular={report.regular}")
+    record = report.to_dict()
     if args.all_subsets:
-        out["second_order"] = {
-            "nonsingular": second_order_check(working, build_design(data))}
-    _emit(json.dumps(out, indent=2), args.out)
-    ok = report.status is SolveStatus.CONVERGED and cert.passed
+        nonsingular = second_order_check(report.final.working.working, build_design(data))
+        record["second_order"] = {"nonsingular": nonsingular}
+        print(f"second_order nonsingular={nonsingular}")
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(record, fh, indent=2)
+    ok = report.status is SolveStatus.CONVERGED and report.certificate.passed
     return EXIT_OK if ok else EXIT_SOLVER
 
 
@@ -169,21 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("fit", help="train on a CSV and write a solve report")
-    p.add_argument("data")
-    _add_solver_flags(p)
-    _add_data_flags(p)
-    p.add_argument("--out", default=None, help="report JSON path")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("check", help="train and emit the full certificate report")
+    p = sub.add_parser("fit", help="train on a CSV, certify the fit, write its solve report")
     p.add_argument("data")
     _add_solver_flags(p)
     _add_data_flags(p)
     p.add_argument("--all-subsets", action="store_true",
                    help="also judge every nonempty subset of the final working set")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_check)
+    p.add_argument("--out", default=None, help="report JSON path")
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("bench", help="repeated-split benchmark on a CSV")
     p.add_argument("data")

@@ -17,7 +17,7 @@ import enum
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -127,6 +127,7 @@ class SolveReport:
     # `stationarity.regular` on the final working set.  The certificate can pass
     # a point the local rate does not cover, a constant surface among them.
     regular: bool
+    config: SolverConfig  # the parameters `solve` ran with
     wall_time: float
 
     def to_dict(self) -> dict:
@@ -139,6 +140,7 @@ class SolveReport:
             "gamma_trace": [float(g) for g in self.gamma_trace],
             "working_sizes": [int(w) for w in self.working_sizes],
             "certificate": self.certificate.to_dict(),
+            "config": asdict(self.config),
             "theta": {"wtri": theta.wtri.tolist(), "b": theta.b.tolist(), "c": theta.c},
             "wall_time_s": self.wall_time,
         }
@@ -168,7 +170,7 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
     status = None  # set before the loop only when the warm start fails
     if start is None:
         try:
-            start = warm_start_point(cache, config.lam, config.alpha)
+            start = warm_start_point(cache, alpha=config.alpha, lam=config.lam)
         except LinAlgError:
             start = SurfaceParams.zeros(cache.m), np.zeros(cache.n)
             status = SolveStatus.SINGULAR_SYSTEM
@@ -226,7 +228,7 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
                                     tol=config.eps * 10.0)
     return SolveReport(final=final, residual_trace=residual_trace, gamma_trace=gamma_trace,
                        working_sizes=working_sizes, status=status, certificate=certificate,
-                       regular=regular(res.sets.working, cache),
+                       regular=regular(res.sets.working, cache), config=config,
                        wall_time=time.perf_counter() - t0)
 
 

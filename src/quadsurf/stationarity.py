@@ -15,7 +15,6 @@ quadratic rate.
 """
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -268,12 +267,13 @@ def regular(working: np.ndarray, cache: DesignCache) -> bool:
 def second_order_check(working: np.ndarray, cache: DesignCache) -> bool:
     """Whether every nonempty subset of the working set is `regular`.
 
-    The sweep is permitted up to |working| = 12.  The empty subset is left
-    out: it is never regular, so it would decide every sweep.
+    A subset S of T has its rows among those of a_T, and for any i in S,
+    null(a_S) lies in null(a_i); by the characterisation in `regular`, S is
+    then regular whenever T and the single row {i} both are.  So the sweep
+    needs T and its singletons only: at most |T| + 1 solves, and none when
+    |T| > d.  An empty working set has no nonempty subset and passes.
     """
     working = np.asarray(working, dtype=int).ravel()
-    if working.size > 12:
-        raise ValueError(f"subset sweep limited to 12 indices, got {working.size}")
-    return all(regular(np.array(s, dtype=int), cache)
-               for r in range(1, working.size + 1)
-               for s in itertools.combinations(working.tolist(), r))
+    return working.size == 0 or (regular(working, cache)
+                                 and all(regular(working[i:i + 1], cache)
+                                         for i in range(working.size)))

@@ -51,7 +51,8 @@ def rate_runs():
         for seed in SEEDS:
             data = generate(GenSpec(kind=kind, n_per_class=50, seed=seed))
             cache = build_design(data)
-            start = warm_start_point(cache, RATE_CONFIG.lam, RATE_CONFIG.alpha, polish=False)
+            start = warm_start_point(cache, alpha=RATE_CONFIG.alpha, lam=RATE_CONFIG.lam,
+                                     polish=False)
             rep = solve(data, RATE_CONFIG, start=start)
             runs[(kind, seed)] = (data, rep)
     return runs

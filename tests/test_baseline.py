@@ -100,7 +100,7 @@ def polish_setup(data, lam):
     """(polished z0, cache, tau, alpha) of a fit whose polish succeeds."""
     alpha = 1e-6
     cache = build_design(data)
-    _, z0 = warm_start_point(cache, lam, alpha)
+    _, z0 = warm_start_point(cache, alpha=alpha, lam=lam)
     return z0, cache, np.sqrt(2.0 * alpha * lam), alpha
 
 
@@ -165,7 +165,7 @@ class TestWarmStart:
     def test_balance_and_margins(self, circ_data):
         from quadsurf import smooth_gradient
         cache = build_design(circ_data)
-        theta0, z0 = warm_start_point(cache, lam=10.0, alpha=1e-6)
+        theta0, z0 = warm_start_point(cache, alpha=1e-6, lam=10.0)
         g = smooth_gradient(theta0, cache) + cache.a.T @ z0
         assert np.linalg.norm(g) < 1e-6
         assert np.all(z0 >= 0.0)
@@ -174,7 +174,7 @@ class TestWarmStart:
 
     def test_unpolished_keeps_violations_small(self, circ_data):
         cache = build_design(circ_data)
-        theta0, z0 = warm_start_point(cache, lam=10.0, alpha=1e-6, polish=False)
+        theta0, z0 = warm_start_point(cache, alpha=1e-6, lam=10.0, polish=False)
         F = margins(theta0, cache)
         tau = np.sqrt(2.0 * 1e-6 * 10.0)
         assert F.max() <= tau
@@ -352,7 +352,7 @@ class TestContinuationStart:
         data = iris_train(seed, trial)
         expect_th, expect_z = reference_warm_start(data, 100.0, 1e-6, mu0=1e2)
         stages = spy_stages(monkeypatch)
-        theta0, z0 = warm_start_point(build_design(data), 100.0, 1e-6)
+        theta0, z0 = warm_start_point(build_design(data), alpha=1e-6, lam=100.0)
         assert stages[0][0] == 1e4 and all(mu >= 1e4 for mu, _ in stages)
         np.testing.assert_array_equal(theta0.to_vector(), expect_th)
         np.testing.assert_array_equal(z0, expect_z)
@@ -366,7 +366,7 @@ class TestContinuationStart:
         lam, alpha = 100.0, 1e-6
         tau = np.sqrt(2.0 * lam * alpha)
         stages = spy_stages(monkeypatch)
-        theta0, z0 = warm_start_point(cache, lam, alpha)
+        theta0, z0 = warm_start_point(cache, alpha=alpha, lam=lam)
         assert [mu for mu, _ in stages] == [1e4, 1e6]
         fmax = [float(np.maximum(F, 0.0).max()) for _, F in stages]
         assert fmax[0] > tau / 4.0 >= fmax[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -36,7 +37,68 @@ class TestFit:
         assert rep["regular"] is True
         assert rep["certificate"]["passed"] is True
         assert len(rep["theta"]["wtri"]) == 3
-        assert "train_acc=100.00%" in capsys.readouterr().out
+        assert "second_order" not in rep
+        assert "train_acc=100.00% certified=True regular=True" in capsys.readouterr().out
+
+    def test_record_carries_config_and_certificate(self, circ_csv, tmp_path):
+        out = str(tmp_path / "report.json")
+        assert main(["fit", circ_csv, "--lambda", "20", "--alpha", "2e-6", "--out", out]) == 0
+        rep = json.loads(open(out).read())
+        assert rep["config"] == {"lam": 20.0, "alpha": 2e-6, "rho": 1.0, "eps": 1e-8,
+                                 "max_iter": 100}
+        # what the former `check` record held as alpha_margin_ok follows from two numbers
+        assert rep["certificate"]["alpha_star"] > rep["config"]["alpha"]
+        assert rep["working_sizes"][-1] >= 1
+        assert rep["residual_trace"][-1] < rep["config"]["eps"]
+
+    def test_design_built_once_twice_with_all_subsets(self, circ_csv, tmp_path,
+                                                      monkeypatch, capsys):
+        calls = []
+        orig = qs_model.build_design
+
+        def spy(data):
+            calls.append(1)
+            return orig(data)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("quadsurf") and mod is not None \
+                    and mod.__dict__.get("build_design") is orig:
+                monkeypatch.setattr(mod, "build_design", spy)
+        out = str(tmp_path / "report.json")
+        assert main(["fit", circ_csv, "--out", out]) == 0
+        assert len(calls) == 1
+        assert main(["fit", circ_csv, "--all-subsets", "--out", out]) == 0
+        assert len(calls) == 3
+        rep = json.loads(open(out).read())
+        assert rep["second_order"] == {"nonsingular": True}
+        assert "second_order nonsingular=True" in capsys.readouterr().out
+
+    def test_all_subsets_on_a_working_set_larger_than_d(self, tmp_path, capsys):
+        data, out = str(tmp_path / "c.csv"), str(tmp_path / "r.json")
+        assert main(["gen", "circular", "--n-per-class", "300", "--noise", "0.3",
+                     "--seed", "1", "--out", data]) == 0
+        assert main(["fit", data, "--lambda", "100", "--all-subsets", "--out", out]) == 0
+        rep = json.loads(open(out).read())
+        assert rep["working_sizes"][-1] == 75
+        assert rep["second_order"] == {"nonsingular": False}
+        assert "error" not in capsys.readouterr().err
+
+    def test_converged_but_uncertified_exit_three(self, circ_csv, monkeypatch, capsys):
+        real_solve = qs_newton.solve
+
+        def uncertified(*args, **kwargs):
+            report = real_solve(*args, **kwargs)
+            cert = dataclasses.replace(report.certificate, passed=False)
+            return dataclasses.replace(report, certificate=cert)
+
+        monkeypatch.setattr(qs_cli, "solve", uncertified)
+        assert main(["fit", circ_csv]) == 3
+        assert "status=converged" in capsys.readouterr().out
+
+    def test_check_subcommand_is_gone(self, circ_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", circ_csv])
+        assert exc.value.code == 2
 
     def test_missing_file_exit_two(self):
         assert main(["fit", "/nonexistent/nope.csv"]) == 2
@@ -58,10 +120,10 @@ class TestFit:
         monkeypatch.setattr(qs_cli, "solve", spy)
         monkeypatch.setattr(qs_newton, "solve", spy)
         for out in (str(tmp_path), str(tmp_path / "missing" / "out.json")):
-            for command in ("fit", "check", "bench"):
+            for command in ("fit", "bench"):
                 assert main([command, circ_csv, "--out", out]) == 2
         assert calls == []
-        assert capsys.readouterr().err.count("error: cannot write") == 6
+        assert capsys.readouterr().err.count("error: cannot write") == 4
 
     def test_solver_flags_reach_their_config_fields(self):
         args = build_parser().parse_args(["fit", "x.csv", "--lambda", "3", "--alpha", "2e-6",
@@ -92,39 +154,6 @@ class TestFit:
         code = main(["fit", circ_csv, "--lambda", "1e-4", "--alpha", "1e8", "--max-iter", "1"])
         assert code == 3
         assert "status=max_iter iters=1" in capsys.readouterr().out
-
-
-class TestCheck:
-    def test_emits_certificates(self, circ_csv, tmp_path):
-        out = str(tmp_path / "cert.json")
-        code = main(["check", circ_csv, "--out", out])
-        assert code == 0
-        cert = json.loads(open(out).read())
-        assert cert["solve"]["status"] == "converged"
-        assert cert["solve"]["regular"] is True
-        assert cert["certificate"]["passed"] is True
-        assert cert["alpha_margin_ok"] is True
-        assert "second_order" not in cert
-
-    def test_design_built_only_for_the_subset_sweep(self, circ_csv, tmp_path, monkeypatch):
-        calls = []
-        orig = qs_model.build_design
-
-        def spy(data):
-            calls.append(1)
-            return orig(data)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("quadsurf") and mod is not None \
-                    and mod.__dict__.get("build_design") is orig:
-                monkeypatch.setattr(mod, "build_design", spy)
-        out = str(tmp_path / "cert.json")
-        assert main(["check", circ_csv, "--out", out]) == 0
-        assert len(calls) == 1
-        assert main(["check", circ_csv, "--all-subsets", "--out", out]) == 0
-        assert len(calls) == 3
-        cert = json.loads(open(out).read())
-        assert cert["second_order"]["nonsingular"] is True
 
 
 class TestBench:

@@ -89,7 +89,7 @@ class TestNewtonDirection:
         x, y = data.points.T
         cache = build_design(Dataset(points=np.column_stack([x, y, y]), labels=data.labels))
         cfg = SolverConfig(lam=100.0)
-        theta, z = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
+        theta, z = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=False)
         state = make_state(theta, z, cache, alpha=cfg.alpha, lam=cfg.lam, gamma=1e-3)
         solved = []
 
@@ -156,7 +156,7 @@ class TestSolve:
         runs = [(SolverConfig(eps=1e-12, max_iter=30), False, 0),
                 (SolverConfig(max_iter=3, eps=1e-16), True, 1)]
         for cfg, polish, shrinks in runs:
-            th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=polish)
+            th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=polish)
             rep = solve(circ_data, cfg, start=(th0, z0))
             gamma_prev, shrunk = GAMMA_INIT, 0
             for r, g in zip(rep.residual_trace, rep.gamma_trace):
@@ -168,7 +168,7 @@ class TestSolve:
     def test_off_working_duals_are_zeroed(self, circ_data):
         cache = build_design(circ_data)
         cfg = SolverConfig(max_iter=3, eps=1e-16)
-        th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
+        th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=False)
         rep = solve(circ_data, cfg, start=(th0, z0))
         z = rep.final.z
         outside = np.setdiff1d(np.arange(cache.n), rep.final.working.working)
@@ -178,7 +178,7 @@ class TestSolve:
         # a step gives no direction to the duals off its working set: it resets them to 0
         cache = build_design(circ_data)
         cfg = SolverConfig(max_iter=1, eps=1e-16)
-        th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
+        th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=False)
         z0 = z0 + 0.5
         sets = index_sets(margins(th0, cache), z0, cfg.alpha, cfg.lam)
         outside = np.setdiff1d(np.arange(cache.n), sets.working)
@@ -188,13 +188,15 @@ class TestSolve:
         np.testing.assert_array_equal(rep.final.z[outside], 0.0)
 
     def test_report_serializes(self, circ_data):
-        rep = solve(circ_data, SolverConfig())
+        cfg = SolverConfig(lam=20.0)
+        rep = solve(circ_data, cfg)
         d = rep.to_dict()
         assert d["status"] == "converged"
         assert set(d) == {"status", "regular", "iters", "residual_trace",
-                          "gamma_trace", "working_sizes", "certificate", "theta",
+                          "gamma_trace", "working_sizes", "certificate", "config", "theta",
                           "wall_time_s"}
         assert d["regular"] is True
+        assert rep.config is cfg and SolverConfig(**d["config"]) == cfg
         assert len(d["theta"]["wtri"]) == 3
         rep.to_json()
 
@@ -232,12 +234,12 @@ class TestStart:
         (noisy_circle(), SolverConfig()),
     ], ids=["iris", "noisy_circle"])
     def test_given_warm_start_matches_default(self, data, cfg):
-        start = warm_start_point(build_design(data), cfg.lam, cfg.alpha)
+        start = warm_start_point(build_design(data), alpha=cfg.alpha, lam=cfg.lam)
         assert_same_fit(solve(data, cfg, start=start), solve(data, cfg))
 
     def test_wrong_dual_shape_raises(self, circ_data):
         cfg = SolverConfig()
-        theta0, z0 = warm_start_point(build_design(circ_data), cfg.lam, cfg.alpha)
+        theta0, z0 = warm_start_point(build_design(circ_data), alpha=cfg.alpha, lam=cfg.lam)
         with pytest.raises(ValueError, match="z0 has shape"):
             solve(circ_data, cfg, start=(theta0, z0[:-1]))
 
@@ -315,7 +317,7 @@ class TestSolveFailures:
     def test_singular_step_keeps_partial_trace(self, circ_data, monkeypatch):
         cache = build_design(circ_data)
         cfg = SolverConfig(eps=1e-12, max_iter=30)
-        th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
+        th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=False)
         calls = []
 
         def fail_second_step(K, rhs, positive_definite=False):
@@ -370,7 +372,7 @@ class TestRateProbe:
         data = generate(GenSpec(kind="convex2d", n_per_class=50, seed=2))
         cache = build_design(data)
         cfg = SolverConfig(alpha=4e-6, rho=3.0, eps=1e-10, max_iter=20)
-        th0, z0 = warm_start_point(cache, cfg.lam, cfg.alpha, polish=False)
+        th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=False)
         rep = solve(data, cfg, start=(th0, z0))
         pr = rate_probe(rep.residual_trace)
         assert rep.status is SolveStatus.CONVERGED

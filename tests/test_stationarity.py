@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -9,12 +10,19 @@ import scipy.linalg
 from scipy.linalg import LinAlgError, LinAlgWarning
 
 import quadsurf.stationarity as qs_stationarity
-from quadsurf import (Dataset, ProxParams, SurfaceParams, alpha_bounds, build_design,
-                      index_sets, margins, pstationary_check, regular, residual,
+from quadsurf import (Dataset, DesignCache, ProxParams, SurfaceParams, alpha_bounds,
+                      build_design, index_sets, margins, pstationary_check, regular, residual,
                       second_order_check, smooth_gradient)
 from quadsurf.stationarity import saddle_matrix, solve_symmetric
 
 from conftest import random_dataset
+
+
+def brute_force_sweep(working, cache):
+    """Reference for `second_order_check`: `regular` on every nonempty subset."""
+    return all(regular(np.array(s, dtype=int), cache)
+               for r in range(1, len(working) + 1)
+               for s in itertools.combinations(working.tolist(), r))
 
 
 def exact_pair(rng, n=8, m=2, k=None):
@@ -317,11 +325,48 @@ class TestSecondOrder:
         assert regular(np.array([0]), twins) and regular(np.array([2]), twins)
         assert not second_order_check(np.array([0, 2]), twins)
 
-    def test_subset_sweep_cap(self, rng):
-        data = random_dataset(rng, 15, 2)
-        cache = build_design(data)
-        with pytest.raises(ValueError):
-            second_order_check(np.arange(13), cache)
+    def test_linear_sweep_matches_brute_force(self, rng):
+        for trial in range(40):
+            m = int(rng.integers(1, 4))
+            data = random_dataset(rng, 12, m)
+            if trial % 4 == 0:  # twin samples make some pairs dependent
+                pts = data.points.copy()
+                pts[1] = pts[0]
+                data = Dataset(points=pts, labels=data.labels)
+            cache = build_design(data)
+            size = int(rng.integers(1, min(cache.d + 2, 12) + 1))
+            T = np.sort(rng.choice(data.n, size=size, replace=False))
+            assert second_order_check(T, cache) == brute_force_sweep(T, cache)
+        assert second_order_check(np.array([], dtype=int), cache)
+
+    @pytest.mark.parametrize("flat", [1, 2])
+    def test_linear_sweep_matches_brute_force_on_a_flatter_g(self, rng, flat):
+        # G with `flat` null directions: with two, every pair of rows is regular but
+        # no single row is, so the verdict rests on the singleton solves
+        a = rng.normal(size=(5, 6))
+        G = np.diag([1.0] * (6 - flat) + [0.0] * flat)
+        cache = DesignCache(a=a, M=np.zeros((5, 2, 3)), G=G)
+        for T in (np.array([0]), np.array([0, 3]), np.array([1, 2, 4])):
+            assert regular(T, cache) == (T.size >= flat)
+            assert second_order_check(T, cache) == brute_force_sweep(T, cache) == (flat == 1)
+
+    def test_linear_sweep_matches_brute_force_on_thirteen_rows(self, rng):
+        cache = build_design(random_dataset(rng, 16, 4))
+        T = np.arange(13)
+        assert 13 <= cache.d
+        assert second_order_check(T, cache) == brute_force_sweep(T, cache)
+
+    def test_sweep_beyond_d_needs_no_solve(self, rng, monkeypatch):
+        cache = build_design(random_dataset(rng, 40, 2))
+        calls = []
+
+        def spy(K, rhs, positive_definite=False):
+            calls.append(K.shape)
+            return solve_symmetric(K, rhs, positive_definite)
+
+        monkeypatch.setattr(qs_stationarity, "solve_symmetric", spy)
+        assert not second_order_check(np.arange(cache.d + 1), cache)
+        assert calls == []
 
 
 class TestEquivalence:
