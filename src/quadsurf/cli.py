@@ -73,6 +73,15 @@ def _check_out(path):
             raise OSError(f"cannot write {path!r}")
 
 
+def _is_stdout(path) -> bool:
+    """Whether `path` names the file this process's stdout writes to."""
+    try:
+        out, target = os.fstat(sys.stdout.fileno()), os.stat(path)
+    except (OSError, ValueError):  # no such path, or a stdout with no file behind it
+        return False
+    return (out.st_dev, out.st_ino) == (target.st_dev, target.st_ino)
+
+
 def cmd_gen(args) -> int:
     data = generate(GenSpec(kind=args.kind, n_per_class=args.n_per_class,
                             seed=args.seed, noise=args.noise))
@@ -85,14 +94,16 @@ def cmd_fit(args) -> int:
     data = _load(args)
     report = solve(data, _solver_config(args))
     acc = 100.0 * accuracy(report.final.theta, data)
+    # a record written to stdout itself stays parseable: the status lines go to stderr
+    log = sys.stderr if args.out and _is_stdout(args.out) else sys.stdout
     print(f"status={report.status.value} iters={report.final.iter} "
           f"residual={report.final.residual.norm:.3e} train_acc={acc:.2f}% "
-          f"certified={report.certificate.passed} regular={report.regular}")
+          f"certified={report.certificate.passed} regular={report.regular}", file=log)
     record = report.to_dict()
     if args.all_subsets:
         nonsingular = second_order_check(report.final.working.working, build_design(data))
         record["second_order"] = {"nonsingular": nonsingular}
-        print(f"second_order nonsingular={nonsingular}")
+        print(f"second_order nonsingular={nonsingular}", file=log)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(record, fh, indent=2)

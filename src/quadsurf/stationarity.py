@@ -226,10 +226,14 @@ def solve_symmetric(K: np.ndarray, rhs: np.ndarray, positive_definite: bool = Fa
     raises ValueError.  The 1-norm comes from dlange on K.T, a Fortran view
     with K's norm when K is symmetric, so nothing is copied; a finite norm
     proves K finite, so the full scan of K runs only when the norm is not
-    (a NaN or inf in K, or a finite K whose column sums overflow).
+    (a NaN or inf in K, or a finite K whose column sums overflow).  The
+    right-hand side is tested the same way, through the 1-norm of its
+    column view.
     """
     anorm = lapack.dlange("1", K.T)
-    if not (math.isfinite(anorm) or np.isfinite(K).all()) or not np.isfinite(rhs).all():
+    finite_k = math.isfinite(anorm) or np.isfinite(K).all()
+    finite_rhs = math.isfinite(lapack.dlange("1", rhs[:, None])) or np.isfinite(rhs).all()
+    if not (finite_k and finite_rhs):
         raise ValueError("array must not contain infs or NaNs")
     if positive_definite:
         fac, x, info = lapack.dposv(K, rhs)

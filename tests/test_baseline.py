@@ -11,7 +11,7 @@ from quadsurf import (BenchProtocol, Dataset, DesignCache, GenSpec, Normalize, S
                       SolveStatus, accuracy, apply_normalizer, build_design, fit_normalizer,
                       generate, load_csv, ls_qssvm_fit, margins, param_dim, run_bench,
                       smooth_gradient, solve, split, tri_dim, warm_start_point)
-from quadsurf.baseline import _active_set_polish, _hinge_sq_minimize, _lsq_system
+from quadsurf.baseline import _active_set_polish, _hinge_sq_minimize, _lsq_system, _ray_scale
 from quadsurf.bench import METHODS, _fit_and_score
 from quadsurf.model import _pairs
 from quadsurf.stationarity import solve_symmetric
@@ -43,8 +43,10 @@ def guarded_step(H, g, mu):
 
 
 def reference_hinge_minimize(th, A, G, mu, passes=80, newton_step=guarded_step):
-    """The squared-hinge Newton loop recomputing margins, G th and H every pass."""
+    """The squared-hinge Newton loop recomputing margins, G th and H every pass; a
+    trial is accepted against the largest of the last 3 accepted values."""
     val = reference_hinge_value(th, A, G, mu)
+    accepted = [val]
     for _ in range(passes):
         F = 1.0 + A @ th
         act = F > 0.0
@@ -58,13 +60,14 @@ def reference_hinge_minimize(th, A, G, mu, passes=80, newton_step=guarded_step):
         while True:
             th_new = th + t * step
             new_val = reference_hinge_value(th_new, A, G, mu)
-            if new_val <= val + 1e-4 * t * slope or t < 2.0**-30:
+            if new_val <= max(accepted[-3:]) + 1e-4 * t * slope or t < 2.0**-30:
                 break
             t *= 0.5
         th = th_new
-        if val - new_val <= 1e-14 * (1.0 + abs(val)):
+        if abs(val - new_val) <= 1e-14 * (1.0 + abs(val)):
             break
         val = new_val
+        accepted.append(val)
     return th
 
 
@@ -268,13 +271,42 @@ def collinear_data(seed):
     return Dataset(points=np.column_stack([x, 2.0 * x]), labels=data.labels)
 
 
+def ray_value(s, q, yh, mu):
+    """The squared-hinge objective at s theta, from q = theta'G theta and yh = -A theta."""
+    r = np.maximum(1.0 - s * yh, 0.0)
+    return 0.5 * s * s * q + 0.5 * mu * (r @ r)
+
+
+def brute_ray_scale(q, yh, mu):
+    """argmin over s > 0 of `ray_value`, or 1.0 when its infimum is at s = 0.
+
+    Every piece between consecutive breakpoints 1/yh_i (yh_i > 0) is a
+    quadratic with a fixed violated set; its stationary point, clipped to
+    the piece, is a candidate, and the candidate of least value wins (the
+    smallest s on a tie).
+    """
+    knots = np.concatenate([[0.0], np.sort(1.0 / yh[yh > 0.0]), [np.inf]])
+    cands = []
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        inner = lo + 1.0 if np.isinf(hi) else 0.5 * (lo + hi)
+        viol = yh[1.0 - inner * yh > 0.0]
+        den = q + mu * (viol @ viol)
+        cands.append(min(max(mu * viol.sum() / den, lo), hi) if den > 0.0 else lo)
+    values = [ray_value(c, q, yh, mu) for c in cands]
+    best = cands[int(np.argmin(values))]
+    return best if best > 0.0 else 1.0
+
+
+def ray_start(data, cache, mu):
+    """The LS point (C = 100) scaled to the minimizer of the stage-mu objective on its ray."""
+    th = ls_qssvm_fit(data, c_penalty=100.0).to_vector()
+    return brute_ray_scale(th @ cache.G @ th, -(cache.a @ th), mu) * th
+
+
 def stage_start(data, mu):
     """(th, cache) at the start of the warm start's continuation stage at penalty mu."""
     cache = build_design(data)
-    th = ls_qssvm_fit(data, c_penalty=100.0).to_vector()
-    yh = 1.0 - (1.0 + cache.a @ th)
-    if yh.min() > 1e-6:
-        th = th / yh.min()
+    th = ray_start(data, cache, 1e4)
     stage = 1e4
     while stage < mu:
         th, _, _ = hinge_minimize(th, cache, stage)
@@ -287,10 +319,7 @@ def reference_warm_start(data, lam, alpha, mu0):
     stepped by the reference hinge loop."""
     cache = build_design(data)
     A, G = cache.a, cache.G
-    th = ls_qssvm_fit(data, c_penalty=100.0).to_vector()
-    yh = 1.0 - (1.0 + A @ th)
-    if yh.min() > 1e-6:
-        th = th / yh.min()
+    th = ray_start(data, cache, mu0)
     tau = np.sqrt(2.0 * lam * alpha)
     mu, fmax_prev = mu0, None
     while True:
@@ -376,6 +405,78 @@ class TestContinuationStart:
         expect[F + alpha * expect >= tau] = 0.0
         np.testing.assert_array_equal(z0, expect)
         np.testing.assert_array_equal(margins(theta0, cache), F)
+
+
+class TestRayStart:
+    def test_matches_brute_force_argmin(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            yh = rng.normal(loc=rng.normal(), size=n)
+            q, mu = float(rng.exponential()), float(10.0 ** rng.uniform(0, 6))
+            s = _ray_scale(q, yh, mu)
+            assert s == pytest.approx(brute_ray_scale(q, yh, mu), rel=1e-12)
+            if s != 1.0:
+                # the derivative vanishes at an interior minimizer
+                viol = yh[1.0 - s * yh > 0.0]
+                slope = s * q - mu * (viol @ (1.0 - s * viol))
+                assert abs(slope) <= 1e-9 * (q + mu * (yh @ yh))
+
+    def test_all_margins_positive(self, rng):
+        # separating LS point: the minimizer lies short of unit minimum margin,
+        # where q pulls it back from the last breakpoint
+        yh = rng.uniform(0.1, 2.0, size=20)
+        s = _ray_scale(1.0, yh, 1e4)
+        assert 0.0 < s < 1.0 / yh.min()
+        assert s == pytest.approx(brute_ray_scale(1.0, yh, 1e4), rel=1e-12)
+
+    def test_no_margin_positive_keeps_the_point(self, rng):
+        yh = -rng.uniform(0.0, 2.0, size=20)
+        assert _ray_scale(1.0, yh, 1e4) == 1.0
+        assert _ray_scale(1.0, np.zeros(5), 1e4) == 1.0
+        # a positive margin that does not outweigh the others: no positive minimizer
+        assert _ray_scale(1.0, np.array([1.0, -2.0]), 1e4) == 1.0
+
+    def test_flat_quadratic(self, rng):
+        # q = 0: with every margin positive the objective vanishes from the last
+        # breakpoint on, and the smallest minimizer is unit minimum margin
+        yh = rng.uniform(0.1, 2.0, size=20)
+        assert _ray_scale(0.0, yh, 1e4) == pytest.approx(1.0 / yh.min(), rel=1e-12)
+        yh[:5] = -yh[:5]
+        s = _ray_scale(0.0, yh, 1e4)
+        assert s == pytest.approx(brute_ray_scale(0.0, yh, 1e4), rel=1e-12)
+
+    def test_first_iris_trials_take_fewer_hinge_solves(self, monkeypatch):
+        # Exact hinge solves and objective evaluations over the first 16 iris
+        # trials of seed 77: 227 and 455 from the separable-only rescale with
+        # monotone Armijo steps, 157 and 319 with the ray start and the
+        # nonmonotone rule.
+        counts = {"solves": 0, "evals": 0}
+        inside = []
+        real_min, real_solve = qs_baseline._hinge_sq_minimize, qs_baseline.solve_symmetric
+        real_value = qs_baseline._hinge_sq_objective
+
+        def hinge_min(*args, **kwargs):
+            inside.append(1)
+            try:
+                return real_min(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted_solve(K, rhs, positive_definite=False):
+            counts["solves"] += bool(inside)
+            return real_solve(K, rhs, positive_definite)
+
+        def counted_value(*args):
+            counts["evals"] += 1
+            return real_value(*args)
+
+        monkeypatch.setattr(qs_baseline, "_hinge_sq_minimize", hinge_min)
+        monkeypatch.setattr(qs_baseline, "solve_symmetric", counted_solve)
+        monkeypatch.setattr(qs_baseline, "_hinge_sq_objective", counted_value)
+        for t in range(16):
+            assert solve(iris_train(77, t), SolverConfig(lam=100.0)).certificate.passed
+        assert counts["solves"] <= 157
+        assert counts["evals"] <= 319
 
 
 class TestHingeLoop:

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ import quadsurf.model as qs_model
 import quadsurf.newton as qs_newton
 from quadsurf import SolverConfig
 from quadsurf.cli import _solver_config, build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -39,6 +44,19 @@ class TestFit:
         assert len(rep["theta"]["wtri"]) == 3
         assert "second_order" not in rep
         assert "train_acc=100.00% certified=True regular=True" in capsys.readouterr().out
+
+    def test_record_on_stdout_parses_as_json(self, circ_csv):
+        # `--out /dev/stdout` into a pipe: the status lines move to stderr
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH", "")])))
+        proc = subprocess.run([sys.executable, "-m", "quadsurf", "fit", circ_csv,
+                               "--all-subsets", "--out", "/dev/stdout"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["status"] == "converged" and rep["second_order"]["nonsingular"] is True
+        assert proc.stderr.startswith("status=converged ")
+        assert "second_order nonsingular=True" in proc.stderr
 
     def test_record_carries_config_and_certificate(self, circ_csv, tmp_path):
         out = str(tmp_path / "report.json")

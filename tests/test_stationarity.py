@@ -462,12 +462,13 @@ class TestSolveSymmetric:
         for positive_definite in (False, True):
             K_bad = K.copy()
             K_bad[1, 2] = K_bad[2, 1] = bad
-            rhs_bad = rhs.copy()
-            rhs_bad[0] = bad
             with pytest.raises(ValueError):
                 solve_symmetric(K_bad, rhs, positive_definite=positive_definite)
-            with pytest.raises(ValueError):
-                solve_symmetric(K, rhs_bad, positive_definite=positive_definite)
+            for i in range(3):
+                rhs_bad = rhs.copy()
+                rhs_bad[i] = bad
+                with pytest.raises(ValueError):
+                    solve_symmetric(K, rhs_bad, positive_definite=positive_definite)
 
     def test_finite_matrix_with_overflowing_norm_like_scipy(self):
         # every entry is finite but the column sums overflow: the infinite
@@ -481,6 +482,14 @@ class TestSolveSymmetric:
             assert ref_err is None and sol is not None
             assert (rcond < _EPS) == (ref_warned == 1)
             np.testing.assert_array_equal(sol, ref)
+
+    def test_finite_rhs_with_overflowing_norm_is_solved(self):
+        # the 1-norm of the right-hand side overflows, but every entry is finite
+        rhs = np.array([1e308, 1e308])
+        for positive_definite in (False, True):
+            x, rcond = _solve_silently(np.eye(2), rhs, positive_definite=positive_definite)
+            np.testing.assert_array_equal(x, rhs)
+            assert rcond == 1.0
 
     def test_flags_near_singular(self, circ_data):
         # shifting G's zero c-row leaves one pivot of exactly 1e-30
