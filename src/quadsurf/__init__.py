@@ -11,8 +11,7 @@ from .model import (Dataset, DesignCache, InputError, LossValue, SurfaceParams,
                     smooth_gradient, smooth_value, total_loss, tri_dim)
 from .prox import ProxParams, positive_count, prox_contains, prox_scalar, prox_vector, zero_one_loss
 from .stationarity import (IndexSets, PStatCertificate, ResidualParts, alpha_bounds,
-                           index_sets, pstationary_check, regular, residual, saddle_matrix,
-                           second_order_check)
+                           index_sets, pstationary_check, regular, residual, saddle_matrix)
 from .newton import (RateProbe, SolveReport, SolveStatus, SolverConfig, SolverState,
                      gamma_update, newton_direction, rate_probe, solve)
 from .baseline import accuracy, ls_qssvm_fit, warm_start_point

@@ -1,10 +1,11 @@
 """Command-line front end: gen / fit / bench / grid.
 
 `fit` trains, certifies and writes the library's own record of the fit,
-`SolveReport.to_dict()`; with `--all-subsets` it adds the one key
-`second_order`.  Exit codes: 0 on success (a converged fit whose
-certificate passes, a completed run), 2 on input errors, 3 on solver
-failures (a fit that did not converge or is not certified).
+`SolveReport.to_dict()`, whose `regular` also answers whether every
+nonempty subset of the final working set is regular.  Exit codes: 0 on
+success (a converged fit whose certificate passes, a completed run), 2 on
+input errors, 3 on solver failures (a fit that did not converge or is not
+certified).
 """
 
 import argparse
@@ -17,9 +18,8 @@ import numpy as np
 from . import bench as bench_mod
 from .baseline import accuracy
 from .datagen import GenSpec, generate
-from .model import InputError, SurfaceParams, build_design
+from .model import InputError, SurfaceParams
 from .newton import SolveStatus, SolverConfig, solve
-from .stationarity import second_order_check
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -94,19 +94,14 @@ def cmd_fit(args) -> int:
     data = _load(args)
     report = solve(data, _solver_config(args))
     acc = 100.0 * accuracy(report.final.theta, data)
-    # a record written to stdout itself stays parseable: the status lines go to stderr
+    # a record written to stdout itself stays parseable: the status line goes to stderr
     log = sys.stderr if args.out and _is_stdout(args.out) else sys.stdout
     print(f"status={report.status.value} iters={report.final.iter} "
           f"residual={report.final.residual.norm:.3e} train_acc={acc:.2f}% "
           f"certified={report.certificate.passed} regular={report.regular}", file=log)
-    record = report.to_dict()
-    if args.all_subsets:
-        nonsingular = second_order_check(report.final.working.working, build_design(data))
-        record["second_order"] = {"nonsingular": nonsingular}
-        print(f"second_order nonsingular={nonsingular}", file=log)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(record, fh, indent=2)
+            json.dump(report.to_dict(), fh, indent=2)
     ok = report.status is SolveStatus.CONVERGED and report.certificate.passed
     return EXIT_OK if ok else EXIT_SOLVER
 
@@ -166,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     _add_solver_flags(p)
     _add_data_flags(p)
-    p.add_argument("--all-subsets", action="store_true",
-                   help="also judge every nonempty subset of the final working set")
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_fit)
 

@@ -259,6 +259,17 @@ def regular(working: np.ndarray, cache: DesignCache) -> bool:
     is, and the set is regular unless LAPACK refuses the solve or flags it
     (rcond below machine epsilon).  An empty set is never regular: its
     saddle is G alone, which has no curvature in c.
+
+    For a G built by `build_design`, a nonempty T is regular exactly when
+    every nonempty subset of T is, so this one solve also answers the
+    subset question.  A v in null(G) has W x_i + b = 0 at every sample, so
+    b'x_i is one value kappa for all i, and every margin row on null(G)
+    is, up to the sign y_i, one functional l(v) = -(kappa/2 + c).  If
+    null(G) is span(e_c), each row has a_i . e_c = -y_i != 0, so every
+    single row is regular, and a subset S of T, with null(a_S) inside
+    null(a_i) for i in S, is regular whenever T is.  If null(G) is larger,
+    null(l) meets it in a nonzero v, which lies in null(a_T) for every T:
+    no working set is regular, nor is any subset of one.
     """
     working = np.asarray(working, dtype=int).ravel()
     if working.size > cache.d:
@@ -266,18 +277,3 @@ def regular(working: np.ndarray, cache: DesignCache) -> bool:
     K = saddle_matrix(working, cache)
     x, rcond = solve_symmetric(K, np.zeros(K.shape[0]))
     return x is not None and rcond >= _EPS
-
-
-def second_order_check(working: np.ndarray, cache: DesignCache) -> bool:
-    """Whether every nonempty subset of the working set is `regular`.
-
-    A subset S of T has its rows among those of a_T, and for any i in S,
-    null(a_S) lies in null(a_i); by the characterisation in `regular`, S is
-    then regular whenever T and the single row {i} both are.  So the sweep
-    needs T and its singletons only: at most |T| + 1 solves, and none when
-    |T| > d.  An empty working set has no nonempty subset and passes.
-    """
-    working = np.asarray(working, dtype=int).ravel()
-    return working.size == 0 or (regular(working, cache)
-                                 and all(regular(working[i:i + 1], cache)
-                                         for i in range(working.size)))

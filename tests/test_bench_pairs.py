@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,3 +33,27 @@ def test_one_smoke_pair_on_two_copies(tmp_path):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert [line.split()[0] for line in lines[2:]] == [m["name"] for m in spec["end_to_end"]]
     assert all("change better" in line and "parent IQR 0 " in line for line in lines[2:])
+
+
+def test_sigterm_removes_the_exported_trees(tmp_path):
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout with a HEAD revision")
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.Popen([sys.executable, str(ROOT / "tools" / "bench_pairs.py"),
+                             "--parent", "HEAD", "--change", "HEAD", "--pairs", "1",
+                             "--seed", "7", "--seconds", "60"],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        # the parent's run has started once its output directory exists
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("*/parent/.perfbench-out")):
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "no benchmark run started"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert list(tmp_path.iterdir()) == []

@@ -42,21 +42,19 @@ class TestFit:
         assert rep["regular"] is True
         assert rep["certificate"]["passed"] is True
         assert len(rep["theta"]["wtri"]) == 3
-        assert "second_order" not in rep
         assert "train_acc=100.00% certified=True regular=True" in capsys.readouterr().out
 
     def test_record_on_stdout_parses_as_json(self, circ_csv):
-        # `--out /dev/stdout` into a pipe: the status lines move to stderr
+        # `--out /dev/stdout` into a pipe: the status line moves to stderr
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH", "")])))
         proc = subprocess.run([sys.executable, "-m", "quadsurf", "fit", circ_csv,
-                               "--all-subsets", "--out", "/dev/stdout"],
+                               "--out", "/dev/stdout"],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         rep = json.loads(proc.stdout)
-        assert rep["status"] == "converged" and rep["second_order"]["nonsingular"] is True
+        assert rep["status"] == "converged" and rep["regular"] is True
         assert proc.stderr.startswith("status=converged ")
-        assert "second_order nonsingular=True" in proc.stderr
 
     def test_record_carries_config_and_certificate(self, circ_csv, tmp_path):
         out = str(tmp_path / "report.json")
@@ -69,8 +67,7 @@ class TestFit:
         assert rep["working_sizes"][-1] >= 1
         assert rep["residual_trace"][-1] < rep["config"]["eps"]
 
-    def test_design_built_once_twice_with_all_subsets(self, circ_csv, tmp_path,
-                                                      monkeypatch, capsys):
+    def test_design_built_once_per_fit(self, circ_csv, tmp_path, monkeypatch):
         calls = []
         orig = qs_model.build_design
 
@@ -85,20 +82,19 @@ class TestFit:
         out = str(tmp_path / "report.json")
         assert main(["fit", circ_csv, "--out", out]) == 0
         assert len(calls) == 1
-        assert main(["fit", circ_csv, "--all-subsets", "--out", out]) == 0
-        assert len(calls) == 3
-        rep = json.loads(open(out).read())
-        assert rep["second_order"] == {"nonsingular": True}
-        assert "second_order nonsingular=True" in capsys.readouterr().out
 
-    def test_all_subsets_on_a_working_set_larger_than_d(self, tmp_path, capsys):
+    def test_working_set_larger_than_d_is_irregular(self, tmp_path, capsys):
+        # more rows than d: `regular` answers for every subset with no solve
         data, out = str(tmp_path / "c.csv"), str(tmp_path / "r.json")
         assert main(["gen", "circular", "--n-per-class", "300", "--noise", "0.3",
                      "--seed", "1", "--out", data]) == 0
-        assert main(["fit", data, "--lambda", "100", "--all-subsets", "--out", out]) == 0
+        assert main(["fit", data, "--lambda", "100", "--out", out]) == 0
         rep = json.loads(open(out).read())
         assert rep["working_sizes"][-1] == 75
-        assert rep["second_order"] == {"nonsingular": False}
+        assert rep["regular"] is False
+        # the record is SolveReport.to_dict() alone, with no key added by the CLI
+        assert set(rep) == {"status", "regular", "iters", "residual_trace", "gamma_trace",
+                            "working_sizes", "certificate", "config", "theta", "wall_time_s"}
         assert "error" not in capsys.readouterr().err
 
     def test_converged_but_uncertified_exit_three(self, circ_csv, monkeypatch, capsys):
@@ -117,6 +113,13 @@ class TestFit:
         with pytest.raises(SystemExit) as exc:
             main(["check", circ_csv])
         assert exc.value.code == 2
+
+    def test_subset_sweep_flag_is_gone(self, circ_csv, capsys):
+        # `regular` in the record already answers for every nonempty subset
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", circ_csv, "--all-subsets"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self):
         assert main(["fit", "/nonexistent/nope.csv"]) == 2

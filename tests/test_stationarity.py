@@ -10,16 +10,16 @@ import scipy.linalg
 from scipy.linalg import LinAlgError, LinAlgWarning
 
 import quadsurf.stationarity as qs_stationarity
-from quadsurf import (Dataset, DesignCache, ProxParams, SurfaceParams, alpha_bounds,
-                      build_design, index_sets, margins, pstationary_check, regular, residual,
-                      second_order_check, smooth_gradient)
+from quadsurf import (Dataset, GenSpec, ProxParams, SurfaceParams, alpha_bounds, build_design,
+                      generate, index_sets, margins, pstationary_check, regular, residual,
+                      smooth_gradient)
 from quadsurf.stationarity import saddle_matrix, solve_symmetric
 
 from conftest import random_dataset
 
 
 def brute_force_sweep(working, cache):
-    """Reference for `second_order_check`: `regular` on every nonempty subset."""
+    """Reference for `regular` on a nonempty T: every nonempty subset of T is regular."""
     return all(regular(np.array(s, dtype=int), cache)
                for r in range(1, len(working) + 1)
                for s in itertools.combinations(working.tolist(), r))
@@ -317,15 +317,18 @@ class TestSecondOrder:
         cache = build_design(data)
         T = np.array([0, 1])
         singles = [regular(np.array(s, dtype=int), cache) for s in ([0], [1], [0, 1])]
-        assert second_order_check(T, cache) == all(singles)
-        # a twin pair fails the sweep through the full set, though each row passes
+        assert regular(T, cache) == all(singles)
+        # a twin pair is irregular as a set, though each row is regular alone
         pts = data.points.copy()
         pts[2] = pts[0]
         twins = build_design(Dataset(points=pts, labels=data.labels))
         assert regular(np.array([0]), twins) and regular(np.array([2]), twins)
-        assert not second_order_check(np.array([0, 2]), twins)
+        assert not regular(np.array([0, 2]), twins)
+        assert not brute_force_sweep(np.array([0, 2]), twins)
 
     def test_linear_sweep_matches_brute_force(self, rng):
+        # one solve over T answers for every nonempty subset of T
+        sizes = set()
         for trial in range(40):
             m = int(rng.integers(1, 4))
             data = random_dataset(rng, 12, m)
@@ -336,37 +339,32 @@ class TestSecondOrder:
             cache = build_design(data)
             size = int(rng.integers(1, min(cache.d + 2, 12) + 1))
             T = np.sort(rng.choice(data.n, size=size, replace=False))
-            assert second_order_check(T, cache) == brute_force_sweep(T, cache)
-        assert second_order_check(np.array([], dtype=int), cache)
-
-    @pytest.mark.parametrize("flat", [1, 2])
-    def test_linear_sweep_matches_brute_force_on_a_flatter_g(self, rng, flat):
-        # G with `flat` null directions: with two, every pair of rows is regular but
-        # no single row is, so the verdict rests on the singleton solves
-        a = rng.normal(size=(5, 6))
-        G = np.diag([1.0] * (6 - flat) + [0.0] * flat)
-        cache = DesignCache(a=a, M=np.zeros((5, 2, 3)), G=G)
-        for T in (np.array([0]), np.array([0, 3]), np.array([1, 2, 4])):
-            assert regular(T, cache) == (T.size >= flat)
-            assert second_order_check(T, cache) == brute_force_sweep(T, cache) == (flat == 1)
+            assert regular(T, cache) == brute_force_sweep(T, cache)
+            sizes.add(size)
+        assert {1, 12} <= sizes
 
     def test_linear_sweep_matches_brute_force_on_thirteen_rows(self, rng):
         cache = build_design(random_dataset(rng, 16, 4))
         T = np.arange(13)
         assert 13 <= cache.d
-        assert second_order_check(T, cache) == brute_force_sweep(T, cache)
+        assert regular(T, cache) == brute_force_sweep(T, cache)
 
-    def test_sweep_beyond_d_needs_no_solve(self, rng, monkeypatch):
-        cache = build_design(random_dataset(rng, 40, 2))
-        calls = []
-
-        def spy(K, rhs, positive_definite=False):
-            calls.append(K.shape)
-            return solve_symmetric(K, rhs, positive_definite)
-
-        monkeypatch.setattr(qs_stationarity, "solve_symmetric", spy)
-        assert not second_order_check(np.arange(cache.d + 1), cache)
-        assert calls == []
+    @pytest.mark.parametrize("construction", ["collinear", "duplicated", "constant"])
+    def test_degenerate_design_has_no_regular_subset(self, rng, construction):
+        # points on a proper affine subspace widen null(G) beyond e_c, and every
+        # margin row is then one functional on it up to sign: no T is regular,
+        # not even a single row (the designs of tools/fit_digest.py)
+        for seed in range(3):
+            data = generate(GenSpec(kind="circular", n_per_class=50, seed=seed))
+            x, y = data.points.T
+            pts = {"collinear": np.column_stack([x, 2.0 * x]),
+                   "duplicated": np.column_stack([x, y, y]),
+                   "constant": np.column_stack([x, y, np.ones_like(x)])}[construction]
+            cache = build_design(Dataset(points=pts, labels=data.labels))
+            assert not any(regular(np.array([i]), cache) for i in range(cache.n))
+            for size in range(2, cache.d + 1):
+                T = np.sort(rng.choice(cache.n, size=size, replace=False))
+                assert not regular(T, cache)
 
 
 class TestEquivalence:

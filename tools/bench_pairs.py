@@ -17,12 +17,14 @@ Then, for each end-to-end metric of the BENCHMARK.json in the parent's tree,
 it prints each side's median and quartiles, the number of pairs in which
 the change did better, the parent's interquartile range, and the median
 shift (change minus parent).  It exits with 1 when a run did not print a
-result.
+result.  A SIGTERM stops the running benchmark process and removes the
+exported trees before the script exits.
 """
 
 import argparse
 import io
 import json
+import signal
 import subprocess
 import sys
 import tarfile
@@ -81,7 +83,14 @@ def summarise(spec: dict, results: dict) -> list:
     return out
 
 
+def _exit_on_sigterm(signum, frame):
+    # SystemExit unwinds through subprocess.run, which kills its child, and
+    # through TemporaryDirectory, which removes the exported trees
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision or source directory")
     ap.add_argument("--change", required=True, help="git revision or source directory")
