@@ -22,16 +22,16 @@ takes to get there.
 
 Each solve judges what `solve_symmetric` returns: x is None when LAPACK
 refuses the factorisation, and an rcond below machine epsilon flags x.
-The least-squares solve retries either once with a 1e-8 ridge, then raises
-LinAlgError.  The Newton passes solve the exact Newton matrix plus a guard
-at rounding scale, so a pass on a settled active set lands on the stage's
-minimizer; a refused or flagged solve is replaced by one of the matrix
-with a larger ridge, which raises LinAlgError when refused and warns
-(LinAlgWarning) when flagged.  Both shifts are needed: with no guard, one
-of 96 noisy circular draws went from converged to diverged, and with the
-guard alone, 11 of 20 designs of collinear points (whose exact matrices
-are all singular) ended as singular systems.  The polish gives up on a
-refused or non-finite saddle solve and warns on a flagged one.
+The least-squares solve and the Newton passes share `_shifted_solve`: a
+refused or flagged solve is replaced by one with a larger ridge, which
+raises LinAlgError when refused or flagged in turn.  A Newton pass first
+solves the exact Newton matrix plus a guard at rounding scale, so a pass
+on a settled active set lands on the stage's minimizer.  Both shifts are
+needed: with no guard, one of 96 noisy circular draws went from converged
+to diverged, and with the guard alone, 11 of 20 designs of collinear
+points (whose exact matrices are all singular) ended as singular systems.
+The polish gives up on a refused or non-finite saddle solve and warns
+(LinAlgWarning) on a flagged one.
 """
 
 import math
@@ -50,8 +50,8 @@ RIDGE = 1e-10
 # rounding scale on every exact attempt, and the ridge of the fallback solve.
 _HINGE_GUARD = 1e-14
 _HINGE_RIDGE = 1e-9
-# Penalty of the first squared-hinge stage (see the module docstring).
-_HINGE_MU0 = 1e4
+# Penalties of the squared-hinge continuation's stages (see the module docstring).
+_HINGE_PENALTIES = (1e4, 1e6, 1e8)
 # Accepted objective values the nonmonotone Armijo test compares a trial against.
 _HINGE_MEMORY = 3
 
@@ -67,27 +67,21 @@ def _lsq_system(cache: DesignCache, c_penalty: float):
     return H, rhs
 
 
-def _warn_if_flagged(rcond: float):
-    """Emit LinAlgWarning for a solve whose rcond is below machine epsilon."""
-    if rcond < _EPS:
-        warnings.warn(f"ill-conditioned symmetric system (rcond={rcond:.3e})",
-                      LinAlgWarning, stacklevel=2)
+def _shifted_solve(H, rhs, shift, ridge: float) -> np.ndarray:
+    """Cholesky solution of (H + shift) x = rhs or, when LAPACK refuses or flags it,
+    of (H + ridge I) x = rhs; LinAlgError when LAPACK refuses or flags both."""
+    x, rcond = solve_symmetric(H + shift, rhs, positive_definite=True)
+    if x is None or rcond < _EPS:
+        x, rcond = solve_symmetric(H + ridge * np.eye(H.shape[0]), rhs, positive_definite=True)
+        if x is None or rcond < _EPS:
+            raise LinAlgError(f"singular with a {ridge:.1e} ridge (rcond={rcond:.3e})")
+    return x
 
 
 def _lsq_solve(cache: DesignCache, c_penalty: float) -> np.ndarray:
-    """Parameter vector of the least-squares fit on a design.
-
-    A normal matrix that Cholesky refuses or flags (rcond below machine
-    epsilon) is retried once with 1e-8 on its diagonal; a retry refused or
-    flagged in turn raises LinAlgError, so no fit comes from a flagged solve.
-    """
+    """Least-squares parameter vector; a refused or flagged solve is retried with 1e-8 I."""
     H, rhs = _lsq_system(cache, c_penalty)
-    x, rcond = solve_symmetric(H, rhs, positive_definite=True)
-    if x is None or rcond < _EPS:
-        x, rcond = solve_symmetric(H + 1e-8 * np.eye(cache.d), rhs, positive_definite=True)
-        if x is None or rcond < _EPS:
-            raise LinAlgError(f"least-squares normal matrix is singular (rcond={rcond:.3e})")
-    return x
+    return _shifted_solve(H, rhs, 0.0, 1e-8)
 
 
 def ls_qssvm_fit(data: Dataset, c_penalty: float = 1.0) -> SurfaceParams:
@@ -150,11 +144,9 @@ def _hinge_sq_minimize(th, F, Gth, A, G, mu, passes=80):
 
     Each pass first solves the exact Newton matrix H = mu A_T'A_T + G plus
     the guard _HINGE_GUARD (1 + mu) I at rounding scale; once the active set
-    has settled, that step lands on the minimizer.  When dposv refuses that
-    matrix or dpocon puts its rcond below machine epsilon, the step is not
-    taken and the pass solves H + _HINGE_RIDGE (1 + mu) I instead.  A
-    refused fallback raises LinAlgError; a flagged one emits LinAlgWarning
-    and its step is taken.
+    has settled, that step lands on the minimizer.  A refused or flagged
+    solve is not stepped from: the pass solves H + _HINGE_RIDGE (1 + mu) I
+    instead (`_shifted_solve`).
 
     A trial is accepted when it lies below the largest of the last
     _HINGE_MEMORY accepted values by the Armijo decrease (Grippo,
@@ -173,13 +165,7 @@ def _hinge_sq_minimize(th, F, Gth, A, G, mu, passes=80):
         H = Aact.T @ Aact
         H *= mu
         H += G
-        step, rcond = solve_symmetric(H + guard, -g, positive_definite=True)
-        if step is None or rcond < _EPS:
-            H += _HINGE_RIDGE * (1.0 + mu) * np.eye(G.shape[0])
-            step, rcond = solve_symmetric(H, -g, positive_definite=True)
-            if step is None:
-                raise LinAlgError(f"ridged squared-hinge Newton matrix refused (mu={mu:.0e})")
-            _warn_if_flagged(rcond)
+        step = _shifted_solve(H, -g, guard, _HINGE_RIDGE * (1.0 + mu))
         slope = g @ step  # negative by construction
         t = 1.0
         th_new = th + step
@@ -206,36 +192,34 @@ def warm_start_point(cache: DesignCache, *, alpha: float, lam: float, polish: bo
 
     Pipeline: least-squares surface fit (C = 100), scaled along its ray to the
     minimizer of the first stage's objective (`_ray_scale`; unscaled when that
-    has no positive minimizer), then a squared-hinge continuation with the penalty
-    raised 100x per stage from 1e4 to at most 1e8, until margin violations fit
-    inside the working band (0, sqrt(2*alpha*lam)) or stop shrinking.  Each
+    has no positive minimizer), then a squared-hinge continuation over the
+    penalties 1e4, 1e6 and 1e8, until margin violations fall below a quarter
+    of the working band's width sqrt(2*alpha*lam) or stop shrinking.  Each
     stage starts from the point, margins F and product G theta on which the
     previous one ended, and takes exact Newton steps (see
-    `_hinge_sq_minimize`).  When the continuation reaches band precision and
-    `polish` is set, the identified active set is refined to an exact
-    stationary pair by saddle solves.  Otherwise the handed-off duals are the
-    penalty gradients mu * max(F, 0), which satisfy the gradient balance at
+    `_hinge_sq_minimize`).  When `polish` is set, whichever way the
+    continuation stopped, the active set it identified is refined to an
+    exact stationary pair by saddle solves.  When the polish is off or finds
+    no consistent set, the handed-off duals are the penalty gradients
+    mu * max(F, 0) of the last stage, which satisfy the gradient balance at
     theta0 exactly; entries that would land outside the working band are
     zeroed since the first iteration prices them out anyway.
     """
     A, G = cache.a, cache.G
     th = _lsq_solve(cache, 100.0)
-    th = _ray_scale(th @ G @ th, -(A @ th), _HINGE_MU0) * th  # y_i h(x_i) = -a_i . th
+    th = _ray_scale(th @ G @ th, -(A @ th), _HINGE_PENALTIES[0]) * th  # y_i h(x_i) = -a_i . th
     F = 1.0 + A @ th
     Gth = G @ th
 
     tau = ProxParams(alpha=alpha, lam=lam).threshold
-    mu = _HINGE_MU0
-    fmax_prev = None
-    while True:
+    fmax_prev = math.inf
+    for mu in _HINGE_PENALTIES:
         th, F, Gth = _hinge_sq_minimize(th, F, Gth, A, G, mu)
         fmax = float(np.maximum(F, 0.0).max())
-        if fmax <= tau / 4.0 or mu >= 1e8:
+        # band precision, or violations stopped shrinking (non-separable data)
+        if fmax <= tau / 4.0 or fmax > 0.9 * fmax_prev:
             break
-        if fmax_prev is not None and fmax > 0.9 * fmax_prev:
-            break  # escalation stopped shrinking violations (non-separable data)
         fmax_prev = fmax
-        mu *= 100.0
 
     if polish:
         active0 = np.flatnonzero(prox_branches(F, tau)[1])
@@ -275,7 +259,8 @@ def _active_set_polish(act, cache, tau, alpha, passes=40):
         sol, rcond = solve_symmetric(K, rhs)
         if sol is None:
             return None
-        _warn_if_flagged(rcond)
+        if rcond < _EPS:
+            warnings.warn(f"ill-conditioned symmetric system (rcond={rcond:.3e})", LinAlgWarning)
         if not np.all(np.isfinite(sol)):
             return None
         cand, zeta = sol[:d], sol[d:]

@@ -12,7 +12,7 @@ from scipy.linalg import LinAlgError
 from . import newton
 from .baseline import accuracy, ls_qssvm_fit
 from .model import Dataset, InputError, SurfaceParams
-from .newton import SolveStatus, SolverConfig
+from .newton import SolveStatus, SolverConfig, _integer_setting
 
 METHODS = ("newton_l01", "ls_qssvm")
 
@@ -34,8 +34,8 @@ class BenchProtocol:
     def __post_init__(self):
         if not 0.0 < self.train_rate < 1.0:
             raise ValueError(f"train_rate must lie in (0, 1), got {self.train_rate}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", _integer_setting("trials", self.trials, 1))
+        object.__setattr__(self, "seed", _integer_setting("seed", self.seed, 0))
         if self.normalize not in Normalize.ALL:
             raise ValueError(f"normalize must be one of {Normalize.ALL}")
 

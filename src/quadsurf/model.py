@@ -11,6 +11,7 @@ quadratic with constant Hessian ``G``.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -153,6 +154,22 @@ class SurfaceParams:
         half_W.setflags(write=False)
         return half_W
 
+    @cached_property
+    def _row_bound(self) -> float:
+        """2-norm bound on a row x below which no product in `predict` can overflow.
+
+        |h(x)| and each partial sum behind it are at most w s^2 + v s + |c| for
+        s = ||x||, with w and v the 2-norms of 0.5 W (Frobenius) and b; the
+        bound is the s at which that reaches 1e300 (0.0 when |c| is already
+        there), or the largest float when h = c everywhere.
+        """
+        w = math.hypot(*self._half_W.ravel().tolist())
+        v = math.hypot(*self.b.tolist())
+        if w == v == 0.0:
+            return sys.float_info.max
+        r = 1e300 - abs(self.c)
+        return 2.0 * r / (v + math.sqrt(v * v + 4.0 * w * r)) if r > 0.0 else 0.0
+
     def matrix(self) -> np.ndarray:
         """The full symmetric W, as a fresh array the caller may modify."""
         return 2.0 * self._half_W
@@ -285,19 +302,25 @@ def total_loss(theta: SurfaceParams, cache: DesignCache, lam: float) -> LossValu
 def predict(theta: SurfaceParams, x: np.ndarray) -> int:
     """Label a single point: +1 when h(x) >= 0, else -1 (ties go to +1)."""
     # A call takes a few µs, so each numpy call counts: a 1-d row skips the
-    # ravel.  A non-finite entry would warn inside the products below
-    # (inf * 0), so it is refused first, by a scan of the row as a list,
-    # which costs less than np.isfinite or np.errstate.
+    # ravel, and the row's 2-norm, one math.hypot call on it as a list (cheaper
+    # than np.isfinite or np.errstate), shows that h is finite and computed
+    # without overflow.  NaN and inf fail the comparison; only rows past the
+    # bound pay for the checks.
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         x = x.ravel()
     if x.shape != theta.b.shape:
         raise InputError(f"point has {x.shape[0]} features, surface expects {theta.m}")
-    if not all(map(math.isfinite, x.tolist())):
+    row = x.tolist()
+    if math.hypot(*row) <= theta._row_bound:
+        h = x.dot(theta._half_W.dot(x) + theta.b) + theta.c
+    elif not all(map(math.isfinite, row)):
         raise InputError("non-finite query point")
-    h = x.dot(theta._half_W.dot(x) + theta.b) + theta.c
-    if not math.isfinite(h):
-        raise InputError("non-finite decision value (non-finite query point or overflow)")
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = x.dot(theta._half_W.dot(x) + theta.b) + theta.c
+        if not math.isfinite(h):
+            raise InputError("non-finite decision value (non-finite query point or overflow)")
     return 1 if h >= 0.0 else -1
 
 

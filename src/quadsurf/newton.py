@@ -16,6 +16,7 @@ affine in (theta, z) and the local rate is quadratic once that set settles.
 import enum
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass
 
@@ -30,6 +31,17 @@ from .stationarity import (IndexSets, PStatCertificate, ResidualParts, pstationa
 GAMMA_INIT, GAMMA_SHRINK, GAMMA_FLOOR = 0.1, 0.5, 1e-14  # see gamma_update
 SAFEGUARD_WINDOW = 5  # consecutive residual increases that end a solve as diverged
 RATE_CAP, RATE_FLOOR, RATE_WINDOW = 1e-2, 1e-14, 5  # see rate_probe
+
+
+def _integer_setting(name: str, value, least: int) -> int:
+    """`value` as an int of at least `least`; ValueError for a bool or a non-integral value."""
+    try:
+        count = operator.index(value)  # numpy integers pass, floats do not
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool) or count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
 
 
 class SolveStatus(enum.Enum):
@@ -61,8 +73,7 @@ class SolverConfig:
             raise ValueError("lam, alpha, rho must be positive")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        object.__setattr__(self, "max_iter", _integer_setting("max_iter", self.max_iter, 1))
 
 
 @dataclass(frozen=True)

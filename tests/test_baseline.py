@@ -213,6 +213,18 @@ class TestWarmStart:
         monkeypatch.setattr(qs_baseline, "solve_symmetric", broken)
         assert _active_set_polish(act, cache, tau, alpha) is None
 
+    def test_flagged_saddle_solve_warns_and_is_used(self, circ_data):
+        # a constant third feature (x, y, 1) duplicates the offset column, so
+        # the polish's saddle matrix is singular up to rounding: LAPACK flags
+        # one solve, the polish warns once and the fit still certifies
+        data = Dataset(np.column_stack([circ_data.points, np.ones(circ_data.n)]),
+                       circ_data.labels)
+        with pytest.warns(LinAlgWarning) as caught:
+            report = solve(data, SolverConfig(lam=100.0))
+        assert len(caught) == 1
+        assert caught[0].filename == qs_baseline.__file__
+        assert report.status is SolveStatus.CONVERGED and report.certificate.passed
+
     def test_polish_activates_an_in_band_margin(self):
         # without sample 16 the refit leaves another margin inside (0, tau), so
         # the polish must activate it to reach a consistent pair, which takes a
@@ -492,7 +504,7 @@ class TestHingeLoop:
             np.testing.assert_array_equal(F, 1.0 + cache.a @ expect)
             np.testing.assert_array_equal(Gth, cache.G @ expect)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
     @pytest.mark.parametrize("seed", [0, 4])
     def test_refused_exact_attempts_fall_back_to_the_ridged_loop(self, monkeypatch, seed):
         data = collinear_data(seed)
@@ -587,6 +599,42 @@ class TestHingeLoop:
         assert rep.final.iter == 0
         np.testing.assert_array_equal(rep.final.theta.to_vector(), 0.0)
         np.testing.assert_array_equal(rep.final.z, 0.0)
+
+    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+    def test_flagged_ridged_fallback_ends_the_fit_as_singular_system(self, monkeypatch):
+        # a refused exact attempt whose ridged fallback LAPACK flags: no step is
+        # taken from the flagged solution, and no warning is emitted
+        train = iris_train(77, 0)
+        th0, cache = stage_start(train, 1e4)
+        real = qs_baseline.solve_symmetric
+
+        def refuse_then_flag(passed):
+            """A solve_symmetric whose first `passed` solves go through, the next
+            is refused and every later one flagged; and the list of its calls."""
+            calls = []
+
+            def fake(K, rhs, positive_definite=False):
+                calls.append(1)
+                x, rcond = real(K, rhs, positive_definite)
+                k = len(calls) - passed
+                return (x, rcond) if k <= 0 else (None, 0.0) if k == 1 else (x, 1e-20)
+
+            return fake, calls
+
+        fake, calls = refuse_then_flag(0)
+        monkeypatch.setattr(qs_baseline, "solve_symmetric", fake)
+        with pytest.raises(LinAlgError):
+            hinge_minimize(th0, cache, 1e4)
+        assert len(calls) == 2
+
+        # the LS solve goes through; the first hinge pass is refused, then flagged
+        fake, calls = refuse_then_flag(1)
+        monkeypatch.setattr(qs_baseline, "solve_symmetric", fake)
+        rep = solve(train, SolverConfig(lam=100.0))
+        assert len(calls) == 3
+        assert rep.status is SolveStatus.SINGULAR_SYSTEM
+        assert rep.final.iter == 0
+        np.testing.assert_array_equal(rep.final.theta.to_vector(), 0.0)
 
 
 class TestCompare:

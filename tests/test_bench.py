@@ -166,6 +166,33 @@ class TestRunBench:
         assert accuracy(theta, test) == pytest.approx(correct / test.n)
 
 
+class TestBenchProtocol:
+    @pytest.mark.parametrize("kwargs", [{"train_rate": 0.0}, {"train_rate": 1.0},
+                                        {"trials": 0}, {"normalize": "l2"}])
+    def test_rejects_bad_settings(self, kwargs):
+        with pytest.raises(ValueError):
+            BenchProtocol(**kwargs)
+
+    @pytest.mark.parametrize("trials", [2.5, 3.0, True, "3"])
+    def test_rejects_non_integral_trials(self, trials):
+        # 2.5 used to pass here and fail later inside range()
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            BenchProtocol(trials=trials)
+
+    @pytest.mark.parametrize("seed", [2.5, -1, False])
+    def test_rejects_a_seed_that_seedsequence_would_refuse(self, seed):
+        # 2.5 and -1 used to pass here and fail inside run_bench's SeedSequence
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            BenchProtocol(seed=seed)
+
+    def test_numpy_integer_trials_become_an_int(self, circ_data):
+        proto = BenchProtocol(trials=np.int64(2), seed=0)
+        assert type(proto.trials) is int and proto.trials == 2
+        rows = run_bench(circ_data, proto, SolverConfig())
+        assert [r["trials"] for r in rows] == [2, 2]
+        rows_to_json(rows)
+
+
 class TestBoundaryGrid:
     def setup_method(self):
         # unit circle: h = 0.5|x|^2 - 1

@@ -159,7 +159,7 @@ class TestFit:
             main(["fit", circ_csv, f"--{name}", value])
         assert exc.value.code == 2
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
     def test_failed_warm_start_exit_three(self, tmp_path, capsys):
         from pathlib import Path
         from quadsurf import Dataset, load_csv, save_csv

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -344,6 +345,63 @@ class TestPredict:
                 predict_many(theta, np.vstack([np.ones(2), x, np.ones(2)]))
             with pytest.raises(InputError):
                 theta.decision_values(x[None])
+
+
+class TestPredictOverflow:
+    """A finite row whose h overflows is refused with an InputError alone."""
+
+    theta = SurfaceParams(np.array([1.0, 2.0, 0.5]), np.array([0.3, -0.2]), 0.1)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_overflowing_row_raises_without_warning(self, scale):
+        # the RuntimeWarning filter of the suite turns numpy's overflow warning
+        # into a failure, so the refusal must come before or without it
+        x = np.array([scale, scale])
+        with pytest.raises(InputError):
+            predict(self.theta, x)
+        with pytest.raises(InputError):
+            predict_many(self.theta, x[None])
+
+    def test_row_past_the_bound_with_finite_h_is_answered(self):
+        # 2-norm 1.4e150 lies past the bound (about 9e149 here), yet h = 1e300 is finite
+        x = np.array([1e150, -1e150])
+        assert np.linalg.norm(x) > self.theta._row_bound
+        assert predict(self.theta, x) == 1
+        assert predict_many(self.theta, x[None])[0] == 1.0
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_rows_within_the_bound_have_finite_h(self, rng, m):
+        for _ in range(20):
+            theta = SurfaceParams.from_vector(rng.normal(size=param_dim(m))
+                                              * 10.0 ** rng.uniform(-3, 3), m)
+            x = rng.normal(size=m)
+            x *= theta._row_bound / np.linalg.norm(x) * (1.0 - 1e-12)
+            label = predict(theta, x)
+            assert predict_many(theta, x[None])[0] == label
+
+    def test_bound_of_a_constant_and_of_a_huge_offset(self):
+        assert SurfaceParams.zeros(2)._row_bound == sys.float_info.max
+        huge = SurfaceParams(np.ones(3), np.zeros(2), -1e301)
+        assert huge._row_bound == 0.0
+        assert predict(huge, [0.0, 0.0]) == -1
+        assert predict(huge, [1.0, 1.0]) == -1
+
+
+class TestSurfaceParamsChecks:
+    def test_wrong_wtri_length(self):
+        with pytest.raises(InputError, match="wtri has length"):
+            SurfaceParams(np.ones(2), np.ones(2), 0.0)
+
+    @pytest.mark.parametrize("field", ["wtri", "b", "c"])
+    def test_non_finite_parameters(self, field):
+        parts = {"wtri": np.ones(3), "b": np.ones(2), "c": 0.0}
+        parts[field] = np.nan if field == "c" else np.array([np.inf] * len(parts[field]))
+        with pytest.raises(InputError, match="non-finite surface"):
+            SurfaceParams(**parts)
+
+    def test_from_vector_wrong_length(self):
+        with pytest.raises(InputError, match="theta has length"):
+            SurfaceParams.from_vector(np.ones(param_dim(2) + 1), 2)
 
 
 class TestSurfaceImmutable:

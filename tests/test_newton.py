@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import sys
 from pathlib import Path
@@ -31,6 +33,27 @@ class TestGammaUpdate:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             gamma_update(-1.0, 1.0, 1.0)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs", [{"lam": 0.0}, {"alpha": -1.0}, {"rho": 0.0},
+                                        {"eps": 0.0}, {"max_iter": 0}])
+    def test_rejects_bad_settings(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3"])
+    def test_rejects_non_integral_max_iter(self, max_iter):
+        # 2.5 used to be accepted: the loop took 3 steps and the record wrote 2.5
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverConfig(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_becomes_an_int(self, circ_data):
+        cfg = SolverConfig(max_iter=np.int64(1), eps=1e-300)
+        assert type(cfg.max_iter) is int and cfg.max_iter == 1
+        rep = solve(circ_data, cfg)
+        assert rep.final.iter <= 1
+        assert json.loads(rep.to_json())["config"]["max_iter"] == 1
 
 
 def make_state(theta, z, cache, alpha, lam, gamma):
@@ -103,6 +126,25 @@ class TestNewtonDirection:
         assert rcond < np.finfo(float).eps
         np.testing.assert_array_equal(np.concatenate([d_theta, d_zw]), sol)
 
+    def test_rejects_nonpositive_gamma(self, small_cache):
+        state = make_state(SurfaceParams.zeros(3), np.zeros(small_cache.n), small_cache,
+                           alpha=1.0, lam=1.0, gamma=1.0)
+        for gamma in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                newton_direction(dataclasses.replace(state, gamma=gamma), small_cache)
+
+    @pytest.mark.parametrize("part", ["grad_part", "margin_part"])
+    def test_non_finite_input_gives_none(self, circ_data, part):
+        cache = build_design(circ_data)
+        theta, z = warm_start_point(cache, alpha=1e-6, lam=10.0, polish=False)
+        state = make_state(theta, z, cache, alpha=1e-6, lam=10.0, gamma=1e-3)
+        assert state.working.working.size and newton_direction(state, cache) is not None
+        res = state.residual
+        bad = getattr(res, part).copy()
+        bad[0] = np.nan
+        state = dataclasses.replace(state, residual=dataclasses.replace(res, **{part: bad}))
+        assert newton_direction(state, cache) is None
+
     def test_direction_consistency(self, rng):
         # plugging the direction back reproduces the negated residual blocks
         data = random_dataset(rng, 8, 2)
@@ -147,6 +189,19 @@ class TestSolve:
         assert rep.status is SolveStatus.CONVERGED
         assert rep.final.iter == 0
         assert len(rep.residual_trace) == 1
+
+    def test_non_finite_residual_ends_as_diverged(self, circ_data):
+        # an infinite dual off the working set makes the first residual infinite
+        cache = build_design(circ_data)
+        cfg = SolverConfig()
+        theta, z = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam)
+        off = np.flatnonzero((z == 0.0) & (margins(theta, cache) < 0.0))[0]
+        z[off] = np.inf
+        rep = solve(circ_data, cfg, start=(theta, z))
+        assert rep.status is SolveStatus.DIVERGED
+        assert rep.final.iter == 0 and rep.gamma_trace == []
+        assert rep.residual_trace == [math.inf]
+        assert not rep.certificate.passed
 
     def test_gamma_rule_holds_along_trace(self, circ_data):
         cache = build_design(circ_data)
@@ -335,7 +390,7 @@ class TestSolveFailures:
         assert rep.final.residual.norm == rep.residual_trace[-1]
         rep.to_json()
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
     def test_failed_warm_start_reports_singular_system(self):
         # features scaled by 1e6 put G's entries near 1e24: the warm start's
         # least-squares normal matrix comes out flagged (rcond near 3e-32), its

@@ -118,6 +118,11 @@ class TestProxVector:
         p = ProxParams(alpha=1.0, lam=1.0)
         np.testing.assert_array_equal(prox_vector(np.zeros(4), p), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            prox_vector(np.array([0.5, bad]), ProxParams(alpha=1.0, lam=1.0))
+
     def test_componentwise(self, rng):
         p = ProxParams(alpha=0.8, lam=2.0)
         z = rng.uniform(-5, 5, size=50)

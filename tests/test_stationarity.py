@@ -96,6 +96,10 @@ class TestIndexSets:
         with pytest.raises(ValueError):
             index_sets(np.zeros(3), np.zeros(3), alpha=alpha, lam=lam)
 
+    def test_rejects_f_and_z_of_different_lengths(self):
+        with pytest.raises(ValueError, match="disagree in length"):
+            index_sets(np.zeros(3), np.zeros(4), alpha=1.0, lam=0.5)
+
     @pytest.mark.parametrize("lam", [1.3, 0.02])  # tau above 1 and below it
     def test_edges_match_sample_loop(self, lam):
         alpha = 0.5  # alpha*z is exact, so z = 2*tau puts alpha*z at tau
@@ -145,6 +149,11 @@ class TestResidual:
         assert r.norm == 0.0
         assert r.margin_part.size == 0
         np.testing.assert_array_equal(r.grad_part, 0.0)
+
+    def test_rejects_z_of_wrong_length(self, small_cache):
+        with pytest.raises(ValueError, match="z has length"):
+            residual(SurfaceParams.zeros(3), np.zeros(small_cache.n + 1), 1.0, 1.0,
+                     small_cache)
 
     def test_off_working_dual_counts(self, small_cache):
         # threshold sqrt(2): F_i + z_i = 1 puts i in t_1, 1 + 0.7 puts sample 2 in t_3
@@ -230,6 +239,11 @@ class TestPStationaryCheck:
         cert = pstationary_check(SurfaceParams.zeros(3), np.zeros(small_cache.n),
                                  alpha=1.0, lam=1.0, cache=small_cache, tol=1e-8)
         assert not cert.passed and not cert.prox_ok
+
+    def test_rejects_z_of_wrong_length(self, small_cache):
+        with pytest.raises(ValueError, match="z has length"):
+            pstationary_check(SurfaceParams.zeros(3), np.zeros(small_cache.n - 1),
+                              alpha=1.0, lam=1.0, cache=small_cache, tol=1e-8)
 
     def test_constructed_pair_passes(self, rng):
         data, cache, theta, z, T = exact_pair(rng)
