@@ -69,10 +69,11 @@ class SolverConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.alpha > 0 and self.rho > 0):
-            raise ValueError("lam, alpha, rho must be positive")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        for name in ("lam", "alpha", "rho", "eps"):
+            value = getattr(self, name)
+            # True > 0 holds, so a bool would pass as 1.0 and be recorded as true
+            if isinstance(value, (bool, np.bool_)) or not value > 0:
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
         object.__setattr__(self, "max_iter", _integer_setting("max_iter", self.max_iter, 1))
 
 

@@ -42,6 +42,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["lam", "alpha", "rho", "eps"])
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_rejects_bool_float_settings(self, name, flag):
+        # SolverConfig(lam=True, eps=True) used to construct and record "lam": true
+        with pytest.raises(ValueError, match=f"{name} must be a positive number"):
+            SolverConfig(**{name: flag})
+
     @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3"])
     def test_rejects_non_integral_max_iter(self, max_iter):
         # 2.5 used to be accepted: the loop took 3 steps and the record wrote 2.5
@@ -323,6 +330,12 @@ def is_constant(rep):
     return max(np.abs(theta.wtri).max(), np.abs(theta.b).max()) <= rep.certificate.tolerance
 
 
+def setup_draw(seed):
+    """Training draw of the predict-row workload's set-up fit at `seed`."""
+    draw_seed = int(np.random.SeedSequence([seed, 0]).generate_state(1)[0])
+    return generate(GenSpec(kind="circular", n_per_class=1000, seed=draw_seed, noise=0.3))
+
+
 def assert_certified(rep):
     assert rep.status is SolveStatus.CONVERGED and rep.certificate.passed
 
@@ -331,16 +344,36 @@ class TestConstantSurface:
     """A constant surface is P-stationary on any data, so it can pass the
     certificate; `regular` tells such an endpoint apart."""
 
-    def test_certified_constant_endpoint_is_flagged(self):
-        # the served surface of predict-row set-up seed 67 (circular classes, 1000 per
-        # class, noise 0.3) certifies at W = 0, b = 0, c = 1: every point labeled -1
-        seed = int(np.random.SeedSequence([67, 0]).generate_state(1)[0])
-        data = generate(GenSpec(kind="circular", n_per_class=1000, seed=seed, noise=0.3))
+    def test_setup_seed_67_certifies_a_non_constant_surface(self):
+        # The served surface of predict-row set-up seed 67 (circular classes, 1000 per
+        # class, noise 0.3) used to certify at W = 0, b = 0, c = 1, every point labeled
+        # -1, after a 1e6 continuation stage handed the polish an unsettled set.  The
+        # draw is degenerate (hundreds of tight margins against d = 6), so the
+        # endpoint is not regular.
+        data = setup_draw(67)
         rep = solve(data, SolverConfig(lam=100.0))
         assert_certified(rep)
-        assert is_constant(rep)
+        assert not is_constant(rep)
+        assert accuracy(rep.final.theta, data) == 1.0
         assert not rep.regular
         assert rep.to_dict()["regular"] is False
+
+    @pytest.mark.parametrize("kind, seed", [("linear", 53), ("circular", 75), ("convex2d", 5),
+                                            ("convex2d", 32), ("convex2d", 169)])
+    def test_clean_draw_certifies_a_non_constant_surface(self, kind, seed):
+        # These clean, separable draws used to end certified at a constant surface
+        # (objective 5000 or 10000): a stop after the 1e6 stage handed the polish a
+        # band set that had not settled (convex2d 5: 7 members at 1e6, 6 at 1e8).
+        data = generate(GenSpec(kind=kind, n_per_class=50, seed=seed))
+        rep = solve(data, SolverConfig(lam=100.0))
+        assert_certified(rep)
+        assert not is_constant(rep)
+
+    def test_setup_seed_133_certifies(self):
+        # the set-up fit of seed 133 used to diverge
+        rep = solve(setup_draw(133), SolverConfig(lam=100.0))
+        assert_certified(rep)
+        assert not is_constant(rep)
 
     def test_iris_fit_is_not_constant(self):
         rep = solve(iris_train(77, 0), SolverConfig(lam=100.0))

@@ -7,14 +7,18 @@ workload with `perfbench/workloads.py::setup_predict_row`, which fits the
 served surface (circular classes, 1000 per class, noise 0.3, lam = 100),
 and reads the workload's own `setup_failures`: a fit is certified when that
 list is empty.  So a seed counts as failed here exactly when a benchmark
-run on it counts a failed set-up fit.  The solver's status and iteration
-count are read from the report of that fit.  It prints four lines:
+run on it counts a failed set-up fit.  The solver's status, iteration
+count and served surface are read from the report of that fit; the surface
+is constant when max(|wtri|, |b|) <= 1e-8 * max(1, |c|), so that it labels
+every query row alike.  It prints six lines:
 
-    seeds         LO-HI
-    failed        number of seeds whose set-up fit did not certify
-    failed_seeds  those seeds, in order
-    digest        sha256 over (seed, certified, status, iterations) of
-                  every set-up fit
+    seeds           LO-HI
+    failed          number of seeds whose set-up fit did not certify
+    failed_seeds    those seeds, in order
+    constant        number of seeds whose set-up fit serves a constant surface
+    constant_seeds  those seeds, in order
+    digest          sha256 over (seed, certified, status, iterations) of
+                    every set-up fit
 
 Run from the root of a source checkout; the library is imported from its
 ``src/`` directory.  Equal digests mean that every seed kept its outcome
@@ -36,12 +40,19 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
 import quadsurf.newton as qs_newton  # noqa: E402
 import workloads  # noqa: E402
 
 
+def is_constant(theta) -> bool:
+    """Whether the surface theta is constant: max(|wtri|, |b|) <= 1e-8 * max(1, |c|)."""
+    return max(np.abs(theta.wtri).max(), np.abs(theta.b).max()) <= 1e-8 * max(1.0, abs(theta.c))
+
+
 def setup_outcome(seed: int):
-    """(certified, solver status, Newton iterations) of the set-up fit of `seed`."""
+    """(certified, solver status, Newton iterations, constant surface) of the set-up
+    fit of `seed`."""
     reports = []
     solve = qs_newton.solve
 
@@ -55,19 +66,23 @@ def setup_outcome(seed: int):
     finally:
         qs_newton.solve = solve
     (report,) = reports
-    return not prep.setup_failures, report.status.value, report.final.iter
+    return (not prep.setup_failures, report.status.value, report.final.iter,
+            is_constant(report.final.theta))
 
 
 def setup_outcomes(lo: int, hi: int):
-    """(failing seeds, sha256 hex digest) over the set-up fits of seeds lo..hi."""
+    """(failing seeds, constant seeds, sha256 hex digest) over the set-up fits of
+    seeds lo..hi."""
     h = hashlib.sha256()
-    failed = []
+    failed, constant = [], []
     for seed in range(lo, hi + 1):
-        ok, status, iters = setup_outcome(seed)
+        ok, status, iters, flat = setup_outcome(seed)
         h.update(f"{seed} {ok} {status} {iters}\n".encode())
         if not ok:
             failed.append(seed)
-    return failed, h.hexdigest()
+        if flat:
+            constant.append(seed)
+    return failed, constant, h.hexdigest()
 
 
 def main(argv=None):
@@ -77,11 +92,13 @@ def main(argv=None):
     lo, hi = args.seeds
     if lo > hi:
         ap.error("--seeds needs LO <= HI")
-    failed, digest = setup_outcomes(lo, hi)
-    print(f"seeds         {lo}-{hi}")
-    print(f"failed        {len(failed)}")
-    print(f"failed_seeds  {' '.join(map(str, failed))}")
-    print(f"digest        {digest}")
+    failed, constant, digest = setup_outcomes(lo, hi)
+    print(f"seeds           {lo}-{hi}")
+    print(f"failed          {len(failed)}")
+    print(f"failed_seeds    {' '.join(map(str, failed))}")
+    print(f"constant        {len(constant)}")
+    print(f"constant_seeds  {' '.join(map(str, constant))}")
+    print(f"digest          {digest}")
 
 
 if __name__ == "__main__":
