@@ -11,8 +11,8 @@ from scipy.linalg import LinAlgError
 
 from . import newton
 from .baseline import accuracy, ls_qssvm_fit
-from .model import Dataset, InputError, SurfaceParams
-from .newton import SolveStatus, SolverConfig, _integer_setting
+from .model import Dataset, InputError, SurfaceParams, _integer_setting
+from .newton import SolveStatus, SolverConfig
 
 METHODS = ("newton_l01", "ls_qssvm")
 

@@ -7,11 +7,13 @@ to the unit-margin convention y_i * h(x_i) >= 1 on every sample.
 """
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, SurfaceParams
+from .model import Dataset, SurfaceParams, _integer_setting
 
 
 class Kind(enum.Enum):
@@ -30,10 +32,14 @@ class GenSpec:
     def __post_init__(self):
         if isinstance(self.kind, str):
             object.__setattr__(self, "kind", Kind(self.kind))
-        if self.n_per_class < 1:
-            raise ValueError(f"n_per_class must be >= 1, got {self.n_per_class}")
-        if self.noise < 0:
-            raise ValueError(f"noise must be nonnegative, got {self.noise}")
+        object.__setattr__(self, "n_per_class",
+                           _integer_setting("n_per_class", self.n_per_class, 1))
+        object.__setattr__(self, "seed", _integer_setting("seed", self.seed, 0))
+        # nan fails every comparison and inf overflows the jitter's projection
+        noise = self.noise
+        if (isinstance(noise, bool) or not isinstance(noise, numbers.Real)
+                or not (math.isfinite(noise) and noise >= 0)):
+            raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
 
 
 # circular geometry: positives inside radius 1, negatives in the [1.4, 2.5] annulus

@@ -11,6 +11,7 @@ quadratic with constant Hessian ``G``.
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -26,6 +27,17 @@ _VIOLATION_TOL = 1e-7
 
 class InputError(ValueError):
     """Raised for malformed user-supplied data (bad CSV, non-finite features...)."""
+
+
+def _integer_setting(name: str, value, least: int) -> int:
+    """`value` as an int of at least `least`; ValueError for a bool or a non-integral value."""
+    try:
+        count = operator.index(value)  # numpy integers pass, floats do not
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool) or count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
 
 
 def tri_dim(m: int) -> int:

@@ -16,7 +16,6 @@ affine in (theta, z) and the local rate is quadratic once that set settles.
 import enum
 import json
 import math
-import operator
 import time
 from dataclasses import asdict, dataclass
 
@@ -24,24 +23,13 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from .baseline import warm_start_point
-from .model import Dataset, DesignCache, SurfaceParams, build_design
+from .model import Dataset, DesignCache, SurfaceParams, _integer_setting, build_design
 from .stationarity import (IndexSets, PStatCertificate, ResidualParts, pstationary_check,
                            regular, residual, saddle_matrix, solve_symmetric)
 
 GAMMA_INIT, GAMMA_SHRINK, GAMMA_FLOOR = 0.1, 0.5, 1e-14  # see gamma_update
 SAFEGUARD_WINDOW = 5  # consecutive residual increases that end a solve as diverged
 RATE_CAP, RATE_FLOOR, RATE_WINDOW = 1e-2, 1e-14, 5  # see rate_probe
-
-
-def _integer_setting(name: str, value, least: int) -> int:
-    """`value` as an int of at least `least`; ValueError for a bool or a non-integral value."""
-    try:
-        count = operator.index(value)  # numpy integers pass, floats do not
-    except TypeError:
-        count = None
-    if count is None or isinstance(value, bool) or count < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return count
 
 
 class SolveStatus(enum.Enum):

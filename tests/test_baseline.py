@@ -26,23 +26,22 @@ def reference_hinge_value(th, A, G, mu):
 
 
 def ridged_step(H, g, mu):
-    """Newton step on H + 1e-9 (1 + mu) I, the fallback of the guarded step."""
+    """Newton step on H + 1e-9 (1 + mu) I, the fallback of the exact step."""
     return scipy.linalg.solve(H + 1e-9 * (1.0 + mu) * np.eye(H.shape[0]), -g, assume_a="pos")
 
 
-def guarded_step(H, g, mu):
-    """Newton step on H + 1e-14 (1 + mu) I, or the ridged step when LAPACK refuses or
-    flags that solve (scipy raises LinAlgError or warns LinAlgWarning)."""
+def exact_first_step(H, g, mu):
+    """Newton step on H itself, or the ridged step when LAPACK refuses or flags that
+    solve (scipy raises LinAlgError or warns LinAlgWarning)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", LinAlgWarning)
-            return scipy.linalg.solve(H + 1e-14 * (1.0 + mu) * np.eye(H.shape[0]), -g,
-                                      assume_a="pos")
+            return scipy.linalg.solve(H, -g, assume_a="pos")
     except (LinAlgError, LinAlgWarning):
         return ridged_step(H, g, mu)
 
 
-def reference_hinge_minimize(th, A, G, mu, passes=80, newton_step=guarded_step):
+def reference_hinge_minimize(th, A, G, mu, passes=80, newton_step=exact_first_step):
     """The squared-hinge Newton loop recomputing margins, G th and H every pass; a
     trial is accepted against the largest of the last 3 accepted values."""
     val = reference_hinge_value(th, A, G, mu)
@@ -501,6 +500,22 @@ class TestHingeLoop:
             np.testing.assert_array_equal(F, 1.0 + cache.a @ expect)
             np.testing.assert_array_equal(Gth, cache.G @ expect)
 
+    @pytest.mark.parametrize("mu", [1e4, 1e8])
+    def test_exact_attempt_factors_the_newton_matrix_with_no_shift(self, monkeypatch, mu):
+        th0, cache = stage_start(iris_train(77, 0), mu)
+        matrices = []
+        real = qs_baseline.solve_symmetric
+
+        def spy(K, rhs, positive_definite=False):
+            matrices.append(K.copy())
+            return real(K, rhs, positive_definite)
+
+        monkeypatch.setattr(qs_baseline, "solve_symmetric", spy)
+        hinge_minimize(th0, cache, mu, passes=1)
+        F = 1.0 + cache.a @ th0
+        Aact = cache.a[F > 0.0]
+        np.testing.assert_array_equal(matrices[0], cache.G + mu * (Aact.T @ Aact))
+
     @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
     @pytest.mark.parametrize("seed", [0, 4])
     def test_refused_exact_attempts_fall_back_to_the_ridged_loop(self, monkeypatch, seed):
@@ -632,6 +647,22 @@ class TestHingeLoop:
         assert rep.status is SolveStatus.SINGULAR_SYSTEM
         assert rep.final.iter == 0
         np.testing.assert_array_equal(rep.final.theta.to_vector(), 0.0)
+
+
+class TestNoisyDraws:
+    def test_noisy_large_draws_converge_and_certify(self):
+        # the noisy-2d-large pools of seeds 9000 and 9001: circular draws of
+        # 1000-1500 per class with noise 0.3, whose projected points leave
+        # hundreds of exact zero margins at the optimum; hinge passes that solve
+        # the exact Newton matrix with no shift must keep every fit certified
+        config = SolverConfig(lam=100.0)
+        for seed in (9000, 9001):
+            for k, npc in enumerate((1000, 1250, 1500) * 16):
+                spec = GenSpec("circular", n_per_class=npc, noise=0.3,
+                               seed=np.random.SeedSequence([seed, k]).generate_state(1)[0])
+                rep = solve(generate(spec), config)
+                assert rep.status is SolveStatus.CONVERGED, (seed, k)
+                assert rep.certificate.passed, (seed, k)
 
 
 class TestCompare:

@@ -52,5 +52,26 @@ class TestGenerate:
         with pytest.raises(ValueError):
             GenSpec(kind="triangle")
 
+    @pytest.mark.parametrize("setting", [
+        {"n_per_class": 2.5}, {"n_per_class": True},
+        {"seed": 1.5}, {"seed": True}, {"seed": -1}, {"seed": "1"},
+        {"noise": float("nan")}, {"noise": float("inf")}, {"noise": True},
+        {"noise": np.bool_(True)}, {"noise": "0.3"},
+    ])
+    def test_rejects_bad_setting_with_value_error(self, setting):
+        name = next(iter(setting))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            GenSpec(kind="circular", **setting)
+
+    def test_numpy_settings_keep_their_draw(self):
+        # a numpy seed (as `SeedSequence.generate_state` gives) is stored as an int
+        # and draws the same data; a numpy noise is kept as given
+        spec = GenSpec(kind="circular", n_per_class=np.int64(20), seed=np.uint32(7),
+                       noise=np.float64(0.3))
+        assert type(spec.n_per_class) is int and type(spec.seed) is int
+        plain = generate(GenSpec(kind="circular", n_per_class=20, seed=7, noise=0.3))
+        np.testing.assert_array_equal(generate(spec).points, plain.points)
+        np.testing.assert_array_equal(generate(spec).labels, plain.labels)
+
     def test_kind_enum_roundtrip(self):
         assert GenSpec(kind="linear").kind is Kind.LINEAR

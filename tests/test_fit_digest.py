@@ -17,14 +17,22 @@ def test_same_digest_twice():
     second = run_digest("--seeds", "77", "9000", "--trials", "2")
     assert first == second
     assert set(first) == {"digest", "linalg_warnings", "accuracy_pct", "regular_fits",
-                          "noisy_digest", "degenerate_digest", "degenerate_warnings"}
+                          "warm_start_solves", "noisy_digest", "degenerate_digest",
+                          "degenerate_warnings", "degenerate_statuses"}
     assert len(first["digest"]) == len(first["noisy_digest"]) == 64
     assert len(first["degenerate_digest"]) == 64
     assert 0.0 <= float(first["accuracy_pct"]) <= 100.0
     assert 0 <= int(first["regular_fits"]) <= 4
     assert int(first["degenerate_warnings"]) >= 0
+    # the LS solve and at least one hinge pass per stage
+    assert float(first["warm_start_solves"]) >= 3.0
+    statuses = dict(item.split("=") for item in first["degenerate_statuses"].split())
+    assert list(statuses) == sorted(statuses)
+    assert set(statuses) <= {"converged", "max_iter", "singular_system", "diverged"}
+    assert sum(int(count) for count in statuses.values()) == 60
     # a different trial set must change the iris digest, not the fixed-set ones
     other = run_digest("--seeds", "77", "--trials", "2")
     assert other["digest"] != first["digest"]
-    for key in ("noisy_digest", "degenerate_digest", "degenerate_warnings"):
+    for key in ("noisy_digest", "degenerate_digest", "degenerate_warnings",
+                "degenerate_statuses"):
         assert other[key] == first[key]

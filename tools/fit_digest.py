@@ -10,7 +10,7 @@ also fits six noisy circular draws (600 per class, noise 0.3, seeds
 100-105, lam = 100), which take Newton steps, and 60 degenerate designs,
 whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
 0-19, lam = 100) made collinear (x2 = 2 x1), given a duplicated feature
-(x, y, y) or a constant one (x, y, 1).  It prints seven lines:
+(x, y, y) or a constant one (x, y, 1).  It prints nine lines:
 
     digest             sha256 over theta, z, status, iterations and the
                        certificate JSON of every Newton fit, the LS fit's
@@ -20,11 +20,15 @@ whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
                        out as `run_bench` leaves them out
     regular_fits       iris Newton fits whose final working set is regular
                        (`SolveReport.regular`); it enters no digest
+    warm_start_solves  mean `solve_symmetric` calls of `warm_start_point`
+                       per iris Newton fit; it enters no digest
     noisy_digest       sha256 over theta, z, status, iterations and the
                        certificate JSON of the noisy circular fits
     degenerate_digest  the same over the degenerate fits, with each
                        design's LS fit theta
     degenerate_warnings  LinAlgWarnings raised by the degenerate fits
+    degenerate_statuses  degenerate Newton fits per final status, as
+                       status=count in the order of the status names
 
 Run from the root of a source checkout; the library is imported from its
 ``src/`` directory.  Equal digests mean bit-identical results.
@@ -38,9 +42,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 import warnings  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +55,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 from scipy.linalg import LinAlgWarning  # noqa: E402
 
+import quadsurf.baseline as qs_baseline  # noqa: E402
 from quadsurf import (Dataset, GenSpec, Normalize, SolverConfig, SolveStatus,  # noqa: E402
                       apply_normalizer, fit_normalizer, generate, load_csv, ls_qssvm_fit,
                       predict_many, solve, split)
@@ -71,12 +78,32 @@ def _linalg_warnings(caught) -> int:
     return sum(issubclass(w.category, LinAlgWarning) for w in caught)
 
 
+@contextlib.contextmanager
+def _counted_warm_start_solves():
+    """Count the `solve_symmetric` calls made through `quadsurf.baseline`, which
+    inside `solve` only `warm_start_point` makes, in a one-item list."""
+    calls = [0]
+    real = qs_baseline.solve_symmetric
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    qs_baseline.solve_symmetric = counted
+    try:
+        yield calls
+    finally:
+        qs_baseline.solve_symmetric = real
+
+
 def fit_digest(seeds, trials: int):
-    """(sha256 hex digest, LinAlgWarning count, mean Newton accuracy in %, regular fits)."""
+    """(sha256 hex digest, LinAlgWarning count, mean Newton accuracy in %, regular fits,
+    mean warm-start solves per fit)."""
     data = load_csv(IRIS_CSV, class_pair=(1, 2))
     h = hashlib.sha256()
     accs = []
     n_regular = 0
+    n_solves = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LinAlgWarning)
         for seed in seeds:
@@ -87,7 +114,9 @@ def fit_digest(seeds, trials: int):
                 train = apply_normalizer(train, shift, scale)
                 test = apply_normalizer(test, shift, scale)
 
-                report = solve(train, SOLVER)
+                with _counted_warm_start_solves() as calls:
+                    report = solve(train, SOLVER)
+                n_solves += calls[0]
                 _update_with_fit(h, report)
                 n_regular += report.regular
                 labels = predict_many(report.final.theta, test.points)
@@ -100,7 +129,8 @@ def fit_digest(seeds, trials: int):
                 if report.status is not SolveStatus.SINGULAR_SYSTEM:
                     accs.append(100.0 * float(np.mean(labels == test.labels)))
     acc = float(np.mean(accs)) if accs else float("nan")
-    return h.hexdigest(), _linalg_warnings(caught), acc, n_regular
+    solves = n_solves / (len(seeds) * trials)
+    return h.hexdigest(), _linalg_warnings(caught), acc, n_regular, solves
 
 
 def noisy_digest():
@@ -122,15 +152,18 @@ def degenerate_designs():
 
 
 def degenerate_digest():
-    """(sha256 hex digest, LinAlgWarning count) over the Newton and LS fits of the
-    degenerate designs."""
+    """(sha256 hex digest, LinAlgWarning count, Newton fits per status name) over the
+    Newton and LS fits of the degenerate designs."""
     h = hashlib.sha256()
+    statuses = Counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LinAlgWarning)
         for data in degenerate_designs():
-            _update_with_fit(h, solve(data, SOLVER))
+            report = solve(data, SOLVER)
+            _update_with_fit(h, report)
+            statuses[report.status.value] += 1
             h.update(ls_qssvm_fit(data).to_vector().tobytes())
-    return h.hexdigest(), _linalg_warnings(caught)
+    return h.hexdigest(), _linalg_warnings(caught), statuses
 
 
 def main(argv=None):
@@ -140,15 +173,17 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.trials < 1:
         ap.error("--trials must be >= 1")
-    digest, n_warn, acc, n_regular = fit_digest(args.seeds, args.trials)
-    degenerate, n_degenerate_warn = degenerate_digest()
+    digest, n_warn, acc, n_regular, solves = fit_digest(args.seeds, args.trials)
+    degenerate, n_degenerate_warn, statuses = degenerate_digest()
     print(f"digest               {digest}")
     print(f"linalg_warnings      {n_warn}")
     print(f"accuracy_pct         {acc:.3f}")
     print(f"regular_fits         {n_regular}")
+    print(f"warm_start_solves    {solves:.3f}")
     print(f"noisy_digest         {noisy_digest()}")
     print(f"degenerate_digest    {degenerate}")
     print(f"degenerate_warnings  {n_degenerate_warn}")
+    print("degenerate_statuses  " + " ".join(f"{k}={statuses[k]}" for k in sorted(statuses)))
 
 
 if __name__ == "__main__":
