@@ -17,7 +17,13 @@ iteration from that start ended at a constant surface or failed on 5 of
 The first stage starts on the ray of the least-squares point, at the minimizer
 of its own objective along that ray (found once by sorting the ray's
 breakpoints): on iris it begins with about as many violated margins as
-it ends with (9 and 11 of 80), where the least-squares point violates 54.
+it ends with (8 and 11 of 80), where the least-squares point violates 63.
+The least-squares point is the first Newton pass from theta = 0 with every
+margin active, at penalty C/2, so only its direction survives the scaling.
+Its weight is C = 10: that direction lies nearer the 1e4 stage's minimizer
+than C = 100's does, and the stage takes about a fifth fewer passes on
+iris (the optimum is broad, C from 5 to 10) while the active set it hands
+the polish, and so every iris warm start, is the same.
 Newton passes accept a step against the largest of the last three
 accepted objective values (nonmonotone Armijo), so a full step that
 overshoots while the active set settles is taken instead of backtracked.
@@ -57,6 +63,9 @@ _HINGE_RIDGE = 1e-9
 # Penalties of the squared-hinge continuation's two stages, run in full (see the
 # module docstring).
 _HINGE_PENALTIES = (1e4, 1e8)
+# Weight C of the least-squares fit whose ray the first stage starts on (see the
+# module docstring).
+_LS_START_C = 10.0
 # Accepted objective values the nonmonotone Armijo test compares a trial against.
 _HINGE_MEMORY = 3
 
@@ -193,7 +202,7 @@ def _hinge_sq_minimize(th, F, Gth, A, G, mu, passes=80):
 def warm_start_point(cache: DesignCache, *, alpha: float, lam: float, polish: bool = True):
     """Initial (theta0, z0) for the Newton solver on the design `cache`.
 
-    Pipeline: least-squares surface fit (C = 100), scaled along its ray to the
+    Pipeline: least-squares surface fit (C = 10), scaled along its ray to the
     minimizer of the first stage's objective (`_ray_scale`; unscaled when that
     has no positive minimizer), then a squared-hinge continuation of two
     stages, at the penalties 1e4 and 1e8, with no early stop.  The second
@@ -208,7 +217,7 @@ def warm_start_point(cache: DesignCache, *, alpha: float, lam: float, polish: bo
     zeroed since the first iteration prices them out anyway.
     """
     A, G = cache.a, cache.G
-    th = _lsq_solve(cache, 100.0)
+    th = _lsq_solve(cache, _LS_START_C)
     th = _ray_scale(th @ G @ th, -(A @ th), _HINGE_PENALTIES[0]) * th  # y_i h(x_i) = -a_i . th
     F = 1.0 + A @ th
     Gth = G @ th

@@ -128,6 +128,10 @@ class SolveReport:
     # a point the local rate does not cover, a constant surface among them.
     regular: bool
     config: SolverConfig  # the parameters `solve` ran with
+    # Seconds in each phase of `solve`: "design", "warm_start" (0.0 when `start`
+    # was given), "newton" (the loop) and "certificate" (with the regularity
+    # verdict).  They sum to at most wall_time.
+    phase_s: dict
     wall_time: float
 
     def to_dict(self) -> dict:
@@ -142,6 +146,7 @@ class SolveReport:
             "certificate": self.certificate.to_dict(),
             "config": asdict(self.config),
             "theta": {"wtri": theta.wtri.tolist(), "b": theta.b.tolist(), "c": theta.c},
+            "phase_s": dict(self.phase_s),
             "wall_time_s": self.wall_time,
         }
 
@@ -166,6 +171,7 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
     """
     t0 = time.perf_counter()
     cache = build_design(data)
+    t_design = t_warm = time.perf_counter()
 
     status = None  # set before the loop only when the warm start fails
     if start is None:
@@ -174,6 +180,7 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
         except LinAlgError:
             start = SurfaceParams.zeros(cache.m), np.zeros(cache.n)
             status = SolveStatus.SINGULAR_SYSTEM
+        t_warm = time.perf_counter()
     theta, z = start
     z = np.asarray(z, dtype=np.float64).copy()
     if z.shape != (cache.n,):
@@ -223,12 +230,17 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
         z = z_new
         k += 1
 
+    t_newton = time.perf_counter()
     final = SolverState(theta=theta, z=z, gamma=gamma, residual=res, iter=k)
     certificate = pstationary_check(theta, z, config.alpha, config.lam, cache,
                                     tol=config.eps * 10.0)
+    is_regular = regular(res.sets.working, cache)
+    t_cert = time.perf_counter()
+    phase_s = {"design": t_design - t0, "warm_start": t_warm - t_design,
+               "newton": t_newton - t_warm, "certificate": t_cert - t_newton}
     return SolveReport(final=final, residual_trace=residual_trace, gamma_trace=gamma_trace,
                        working_sizes=working_sizes, status=status, certificate=certificate,
-                       regular=regular(res.sets.working, cache), config=config,
+                       regular=is_regular, config=config, phase_s=phase_s,
                        wall_time=time.perf_counter() - t0)
 
 

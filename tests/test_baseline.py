@@ -308,9 +308,10 @@ def brute_ray_scale(q, yh, mu):
     return best if best > 0.0 else 1.0
 
 
-def ray_start(data, cache, mu):
-    """The LS point (C = 100) scaled to the minimizer of the stage-mu objective on its ray."""
-    th = ls_qssvm_fit(data, c_penalty=100.0).to_vector()
+def ray_start(data, cache, mu, c_penalty=qs_baseline._LS_START_C):
+    """The LS point (weight c_penalty, by default the warm start's) scaled to the
+    minimizer of the stage-mu objective on its ray."""
+    th = ls_qssvm_fit(data, c_penalty=c_penalty).to_vector()
     return brute_ray_scale(th @ cache.G @ th, -(cache.a @ th), mu) * th
 
 
@@ -324,14 +325,15 @@ def stage_start(data, mu):
     return th, cache
 
 
-def reference_warm_start(data, lam, alpha, mu0):
-    """(theta0 vector, z0) of a warm start whose continuation starts at penalty mu0,
-    stepped by the reference hinge loop."""
+def reference_warm_start(data, lam, alpha, mu0, c_penalty=qs_baseline._LS_START_C):
+    """(theta0 vector, z0) of a warm start whose continuation starts at penalty mu0
+    on the ray of the LS point of weight c_penalty, stepped by the reference hinge
+    loop."""
     cache = build_design(data)
     A, G = cache.a, cache.G
-    th = ray_start(data, cache, mu0)
+    th = ray_start(data, cache, mu0, c_penalty)
     tau = np.sqrt(2.0 * lam * alpha)
-    for mu in (mu0, 1e4, 1e8):
+    for mu in sorted({mu0, 1e4, 1e8}):
         th = reference_hinge_minimize(th, A, G, mu)
     F = 1.0 + A @ th
     act = np.flatnonzero((F > 0.0) & (F < tau))
@@ -385,6 +387,17 @@ class TestContinuationStart:
         stages = spy_stages(monkeypatch)
         theta0, z0 = warm_start_point(build_design(data), alpha=1e-6, lam=100.0)
         assert stages[0][0] == 1e4 and all(mu >= 1e4 for mu, _ in stages)
+        np.testing.assert_array_equal(theta0.to_vector(), expect_th)
+        np.testing.assert_array_equal(z0, expect_z)
+
+    @pytest.mark.parametrize("seed, trial", [(77, t) for t in range(8)] + [(9000, 87)])
+    def test_same_warm_start_from_the_c_100_ray_point(self, seed, trial):
+        # The LS weight only turns the ray the first stage starts on: from the C = 100
+        # point's ray the continuation hands the polish the same active set, so the
+        # start moves the path, never the iris warm start.
+        data = iris_train(seed, trial)
+        expect_th, expect_z = reference_warm_start(data, 100.0, 1e-6, mu0=1e4, c_penalty=100.0)
+        theta0, z0 = warm_start_point(build_design(data), alpha=1e-6, lam=100.0)
         np.testing.assert_array_equal(theta0.to_vector(), expect_th)
         np.testing.assert_array_equal(z0, expect_z)
 
@@ -457,7 +470,8 @@ class TestRayStart:
         # Exact hinge solves and objective evaluations over the first 16 iris
         # trials of seed 77: 227 and 455 from the separable-only rescale with
         # monotone Armijo steps, 157 and 319 with the ray start and the
-        # nonmonotone rule.
+        # nonmonotone rule, 152 and 309 with two fixed stages, 129 and 245 on
+        # the ray of the C = 10 least-squares point.
         counts = {"solves": 0, "evals": 0}
         inside = []
         real_min, real_solve = qs_baseline._hinge_sq_minimize, qs_baseline.solve_symmetric
@@ -483,8 +497,8 @@ class TestRayStart:
         monkeypatch.setattr(qs_baseline, "_hinge_sq_objective", counted_value)
         for t in range(16):
             assert solve(iris_train(77, t), SolverConfig(lam=100.0)).certificate.passed
-        assert counts["solves"] <= 157
-        assert counts["evals"] <= 319
+        assert counts["solves"] <= 129
+        assert counts["evals"] <= 245
 
 
 class TestHingeLoop:

@@ -94,7 +94,8 @@ class TestFit:
         assert rep["regular"] is False
         # the record is SolveReport.to_dict() alone, with no key added by the CLI
         assert set(rep) == {"status", "regular", "iters", "residual_trace", "gamma_trace",
-                            "working_sizes", "certificate", "config", "theta", "wall_time_s"}
+                            "working_sizes", "certificate", "config", "theta", "phase_s",
+                            "wall_time_s"}
         assert "error" not in capsys.readouterr().err
 
     def test_converged_but_uncertified_exit_three(self, circ_csv, monkeypatch, capsys):

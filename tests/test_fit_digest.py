@@ -17,8 +17,8 @@ def test_same_digest_twice():
     second = run_digest("--seeds", "77", "9000", "--trials", "2")
     assert first == second
     assert set(first) == {"digest", "linalg_warnings", "accuracy_pct", "regular_fits",
-                          "warm_start_solves", "noisy_digest", "degenerate_digest",
-                          "degenerate_warnings", "degenerate_statuses"}
+                          "warm_start_solves", "warm_start_evals", "noisy_digest",
+                          "degenerate_digest", "degenerate_warnings", "degenerate_statuses"}
     assert len(first["digest"]) == len(first["noisy_digest"]) == 64
     assert len(first["degenerate_digest"]) == 64
     assert 0.0 <= float(first["accuracy_pct"]) <= 100.0
@@ -26,6 +26,8 @@ def test_same_digest_twice():
     assert int(first["degenerate_warnings"]) >= 0
     # the LS solve and at least one hinge pass per stage
     assert float(first["warm_start_solves"]) >= 3.0
+    # the start value of each stage and at least one trial of its first pass
+    assert float(first["warm_start_evals"]) >= 4.0
     statuses = dict(item.split("=") for item in first["degenerate_statuses"].split())
     assert list(statuses) == sorted(statuses)
     assert set(statuses) <= {"converged", "max_iter", "singular_system", "diverged"}

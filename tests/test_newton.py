@@ -256,11 +256,25 @@ class TestSolve:
         assert d["status"] == "converged"
         assert set(d) == {"status", "regular", "iters", "residual_trace",
                           "gamma_trace", "working_sizes", "certificate", "config", "theta",
-                          "wall_time_s"}
+                          "phase_s", "wall_time_s"}
         assert d["regular"] is True
         assert rep.config is cfg and SolverConfig(**d["config"]) == cfg
         assert len(d["theta"]["wtri"]) == 3
         rep.to_json()
+
+    def test_phase_times(self, circ_data):
+        cfg = SolverConfig(lam=20.0)
+        rep = solve(circ_data, cfg)
+        assert set(rep.phase_s) == {"design", "warm_start", "newton", "certificate"}
+        assert all(t >= 0.0 for t in rep.phase_s.values())
+        assert sum(rep.phase_s.values()) <= rep.wall_time
+        assert rep.phase_s["warm_start"] > 0.0
+        assert rep.to_dict()["phase_s"] == rep.phase_s
+        # a given start skips the warm start
+        started = solve(circ_data, cfg, start=(rep.final.theta, rep.final.z))
+        assert started.phase_s["warm_start"] == 0.0
+        assert all(t >= 0.0 for t in started.phase_s.values())
+        assert sum(started.phase_s.values()) <= started.wall_time
 
     def test_statuses_defined_on_degenerate_inputs(self, rng):
         one_label = Dataset(points=rng.normal(size=(12, 2)), labels=np.ones(12))

@@ -10,7 +10,7 @@ also fits six noisy circular draws (600 per class, noise 0.3, seeds
 100-105, lam = 100), which take Newton steps, and 60 degenerate designs,
 whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
 0-19, lam = 100) made collinear (x2 = 2 x1), given a duplicated feature
-(x, y, y) or a constant one (x, y, 1).  It prints nine lines:
+(x, y, y) or a constant one (x, y, 1).  It prints ten lines:
 
     digest             sha256 over theta, z, status, iterations and the
                        certificate JSON of every Newton fit, the LS fit's
@@ -22,6 +22,9 @@ whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
                        (`SolveReport.regular`); it enters no digest
     warm_start_solves  mean `solve_symmetric` calls of `warm_start_point`
                        per iris Newton fit; it enters no digest
+    warm_start_evals   mean squared-hinge objective evaluations
+                       (`_hinge_sq_objective` calls) per iris Newton fit; it
+                       enters no digest
     noisy_digest       sha256 over theta, z, status, iterations and the
                        certificate JSON of the noisy circular fits
     degenerate_digest  the same over the degenerate fits, with each
@@ -79,31 +82,36 @@ def _linalg_warnings(caught) -> int:
 
 
 @contextlib.contextmanager
-def _counted_warm_start_solves():
-    """Count the `solve_symmetric` calls made through `quadsurf.baseline`, which
-    inside `solve` only `warm_start_point` makes, in a one-item list."""
-    calls = [0]
-    real = qs_baseline.solve_symmetric
+def _counted_warm_start_calls():
+    """Count the `solve_symmetric` and `_hinge_sq_objective` calls made through
+    `quadsurf.baseline`, which inside `solve` only `warm_start_point` makes, in a
+    Counter under "solves" and "evals"."""
+    calls = Counter()
+    real_solve, real_value = qs_baseline.solve_symmetric, qs_baseline._hinge_sq_objective
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
+    def counted_solve(*args, **kwargs):
+        calls["solves"] += 1
+        return real_solve(*args, **kwargs)
 
-    qs_baseline.solve_symmetric = counted
+    def counted_value(*args):
+        calls["evals"] += 1
+        return real_value(*args)
+
+    qs_baseline.solve_symmetric, qs_baseline._hinge_sq_objective = counted_solve, counted_value
     try:
         yield calls
     finally:
-        qs_baseline.solve_symmetric = real
+        qs_baseline.solve_symmetric, qs_baseline._hinge_sq_objective = real_solve, real_value
 
 
 def fit_digest(seeds, trials: int):
     """(sha256 hex digest, LinAlgWarning count, mean Newton accuracy in %, regular fits,
-    mean warm-start solves per fit)."""
+    mean warm-start solves per fit, mean hinge objective evaluations per fit)."""
     data = load_csv(IRIS_CSV, class_pair=(1, 2))
     h = hashlib.sha256()
     accs = []
     n_regular = 0
-    n_solves = 0
+    n_calls = Counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LinAlgWarning)
         for seed in seeds:
@@ -114,9 +122,9 @@ def fit_digest(seeds, trials: int):
                 train = apply_normalizer(train, shift, scale)
                 test = apply_normalizer(test, shift, scale)
 
-                with _counted_warm_start_solves() as calls:
+                with _counted_warm_start_calls() as calls:
                     report = solve(train, SOLVER)
-                n_solves += calls[0]
+                n_calls += calls
                 _update_with_fit(h, report)
                 n_regular += report.regular
                 labels = predict_many(report.final.theta, test.points)
@@ -129,8 +137,9 @@ def fit_digest(seeds, trials: int):
                 if report.status is not SolveStatus.SINGULAR_SYSTEM:
                     accs.append(100.0 * float(np.mean(labels == test.labels)))
     acc = float(np.mean(accs)) if accs else float("nan")
-    solves = n_solves / (len(seeds) * trials)
-    return h.hexdigest(), _linalg_warnings(caught), acc, n_regular, solves
+    fits = len(seeds) * trials
+    return (h.hexdigest(), _linalg_warnings(caught), acc, n_regular, n_calls["solves"] / fits,
+            n_calls["evals"] / fits)
 
 
 def noisy_digest():
@@ -173,13 +182,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.trials < 1:
         ap.error("--trials must be >= 1")
-    digest, n_warn, acc, n_regular, solves = fit_digest(args.seeds, args.trials)
+    digest, n_warn, acc, n_regular, solves, evals = fit_digest(args.seeds, args.trials)
     degenerate, n_degenerate_warn, statuses = degenerate_digest()
     print(f"digest               {digest}")
     print(f"linalg_warnings      {n_warn}")
     print(f"accuracy_pct         {acc:.3f}")
     print(f"regular_fits         {n_regular}")
     print(f"warm_start_solves    {solves:.3f}")
+    print(f"warm_start_evals     {evals:.3f}")
     print(f"noisy_digest         {noisy_digest()}")
     print(f"degenerate_digest    {degenerate}")
     print(f"degenerate_warnings  {n_degenerate_warn}")
