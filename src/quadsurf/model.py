@@ -8,6 +8,14 @@ triangle in row-major order.  In that coordinate system the per-sample
 margin terms ``F_i(theta) = 1 - y_i * h(x_i)`` are affine and the smooth
 regularizer ``f(theta) = sum_i 0.5 * ||W x_i + b||^2`` is a homogeneous
 quadratic with constant Hessian ``G``.
+
+``W x_i = M_i @ wtri`` for a sparse per-sample map ``M_i`` (m, p), so
+``G = sum_i J_i' J_i`` with ``J_i = [M_i, I_m, 0]``.  Every ``M_i`` has the
+same pattern, so ``build_design`` assembles G from ``X'X`` and the column
+sums of X by fixed scatters, without forming the maps.  The stack of maps
+itself is built only when `DesignCache.M` is first read: `smooth_value`
+(and so `total_loss`) reads it, as may a caller that inspects a design,
+but no fit does.
 """
 
 import math
@@ -72,6 +80,25 @@ def _pairs(m: int):
     for arr in out:
         arr.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=64)
+def _gram_scatter(m: int):
+    """Flat index pairs ``(into, take)`` of sum_i M_i'M_i, built once per m.
+
+    Entry (j, k) of sum_i M_i'M_i adds ``S[src_e, src_f]``, with S = X'X,
+    over the pattern entries e, f of `_pairs` that share a row and sit in
+    columns j and k.  ``take`` indexes those terms in the flattened S and
+    ``into`` their entries in the flattened d-by-d G, in the same order,
+    so ``np.bincount(into, S.ravel()[take], d * d)`` sums them.  Read-only.
+    """
+    _, _, rows, cols, src = _pairs(m)
+    e, f = np.nonzero(rows[:, None] == rows[None, :])
+    into = cols[e] * param_dim(m) + cols[f]
+    take = src[e] * m + src[f]
+    for arr in (into, take):
+        arr.setflags(write=False)
+    return into, take
 
 
 @dataclass(frozen=True)
@@ -229,21 +256,30 @@ class DesignCache:
     """Precomputed affine/quadratic structure of a dataset.
 
     a : (n, d)  row i is the gradient of F_i, namely -y_i * (s(x_i); x_i; 1)
-    M : (n, m, p)  per-sample maps wtri -> W x_i
     G : (d, d)  constant Hessian of the smooth part; the c row/column is zero
+    M : (n, m, p)  per-sample maps wtri -> W x_i, built from `a` on first
+        read and kept; in the library only `smooth_value` reads it, so no fit
+        builds it
     """
 
     a: np.ndarray
-    M: np.ndarray
     G: np.ndarray
 
     n = property(lambda self: self.a.shape[0])
-    m = property(lambda self: self.M.shape[1])
     d = property(lambda self: self.a.shape[1])
+    # d = (m + 1)(m + 2) / 2 solved for m, so reading m builds no maps
+    m = property(lambda self: (math.isqrt(8 * self.d + 1) - 3) // 2)
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """The per-sample maps, `_per_sample_maps` of the feature rows held in `a`."""
+        p, m = tri_dim(self.m), self.m
+        # the labels are +-1, so the product recovers the feature rows exactly
+        return _per_sample_maps(self.a[:, p:p + m] * self.a[:, -1:])
 
 
 def build_design(data: Dataset) -> DesignCache:
-    """Precompute margins' gradient rows, per-sample maps and the smooth Hessian."""
+    """Precompute the margins' gradient rows and the smooth Hessian."""
     pts, y = data.points, data.labels
     n, m = pts.shape
     p = tri_dim(m)
@@ -256,18 +292,20 @@ def build_design(data: Dataset) -> DesignCache:
     a[:, p + m] = 1.0
     a *= -y[:, None]
 
-    M = _per_sample_maps(pts)
-
-    # G = sum_i J_i' J_i with J_i = [M_i, I_m, 0]; the c block stays zero.
-    G = np.zeros((d, d))
-    G[:p, :p] = np.einsum("irj,irk->jk", M, M)
-    Msum = M.sum(axis=0)  # (m, p)
-    G[:p, p:p + m] = Msum.T
-    G[p:p + m, :p] = Msum
-    G[p:p + m, p:p + m] = n * np.eye(m)
+    # G = sum_i J_i' J_i with J_i = [M_i, I_m, 0]; the c block stays zero.  The
+    # wtri block is a scatter of X'X, and the (b, wtri) block, sum_i M_i, one
+    # of X's column sums.
+    into, take = _gram_scatter(m)
+    G = np.bincount(into, weights=(pts.T @ pts).ravel()[take], minlength=d * d).reshape(d, d)
+    _, _, rows, cols, src = _pairs(m)
+    colsum = pts.sum(axis=0)[src]
+    G[p + rows, cols] = colsum
+    G[cols, p + rows] = colsum
+    diag = p + np.arange(m)
+    G[diag, diag] = n
     G = 0.5 * (G + G.T)  # exact symmetry against accumulation order
 
-    return DesignCache(a=a, M=M, G=G)
+    return DesignCache(a=a, G=G)
 
 
 def _check_theta(theta: SurfaceParams, cache: DesignCache) -> np.ndarray:

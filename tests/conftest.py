@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from quadsurf import (Dataset, GenSpec, Normalize, apply_normalizer, build_design,
-                      fit_normalizer, generate, load_csv, split)
+                      fit_normalizer, generate, load_csv, param_dim, split, tri_dim)
+from quadsurf.model import _pairs
 
 IRIS_CSV = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
 
@@ -44,3 +45,40 @@ def iris_train(seed, trial):
     data = load_csv(IRIS_CSV, class_pair=(1, 2))
     train, _ = split(data, 0.8, np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
     return apply_normalizer(train, *fit_normalizer(train.points, Normalize.ZSCORE))
+
+
+def _with_b_blocks(G, Msum, n):
+    """Fill G's (wtri, b) and (b, b) blocks from sum_i M_i and n, then symmetrize."""
+    m, p = Msum.shape
+    G[:p, p:p + m] = Msum.T
+    G[p:p + m, :p] = Msum
+    G[p:p + m, p:p + m] = n * np.eye(m)
+    return 0.5 * (G + G.T)
+
+
+def reference_hessian(M):
+    """G = sum_i J_i' J_i with J_i = [M_i, I_m, 0], summed by einsum over the maps M_i."""
+    n, m, p = M.shape
+    G = np.zeros((p + m + 1, p + m + 1))
+    G[:p, :p] = np.einsum("irj,irk->jk", M, M)
+    return _with_b_blocks(G, M.sum(axis=0), n)
+
+
+def scatter_hessian(data):
+    """G from S = X'X and the column sums of X, without the per-sample maps M_i.
+
+    Entry (j, k) of sum_i M_i'M_i adds S[src_e, src_f] over the pattern
+    entries e, f of `_pairs` that share a row and sit in columns j and k,
+    accumulated one term at a time by `np.add.at`.
+    """
+    X = data.points
+    n, m = X.shape
+    p, d = tri_dim(m), param_dim(m)
+    _, _, rows, cols, src = _pairs(m)
+    e, f = np.nonzero(rows[:, None] == rows[None, :])
+    S = X.T @ X
+    G = np.zeros((d, d))
+    np.add.at(G, (cols[e], cols[f]), S[src[e], src[f]])
+    Msum = np.zeros((m, p))
+    Msum[rows, cols] = X.sum(axis=0)[src]
+    return _with_b_blocks(G, Msum, n)

@@ -9,14 +9,13 @@ import quadsurf.baseline as qs_baseline
 import quadsurf.newton as qs_newton
 from quadsurf import (BenchProtocol, Dataset, DesignCache, GenSpec, Normalize, SolverConfig,
                       SolveStatus, accuracy, apply_normalizer, build_design, fit_normalizer,
-                      generate, load_csv, ls_qssvm_fit, margins, param_dim, run_bench,
-                      smooth_gradient, solve, split, tri_dim, warm_start_point)
+                      generate, load_csv, ls_qssvm_fit, margins, run_bench,
+                      smooth_gradient, solve, split, warm_start_point)
 from quadsurf.baseline import _active_set_polish, _hinge_sq_minimize, _lsq_system, _ray_scale
 from quadsurf.bench import METHODS, _fit_and_score
-from quadsurf.model import _pairs
 from quadsurf.stationarity import solve_symmetric
 
-from conftest import IRIS_CSV, iris_train
+from conftest import IRIS_CSV, iris_train, reference_hessian
 
 
 def reference_hinge_value(th, A, G, mu):
@@ -74,28 +73,6 @@ def hinge_minimize(th, cache, mu, **kwargs):
     """`_hinge_sq_minimize` from th alone, as the first continuation stage calls it."""
     return _hinge_sq_minimize(th, 1.0 + cache.a @ th, cache.G @ th, cache.a, cache.G, mu,
                               **kwargs)
-
-
-def scatter_hessian(data):
-    """G from S = X'X and the column sums of X, without the per-sample maps M_i.
-
-    Entry (j, k) of sum_i M_i'M_i adds S[src_e, src_f] over the pattern
-    entries e, f of `_pairs` that share a row and sit in columns j and k.
-    """
-    X = data.points
-    n, m = X.shape
-    p, d = tri_dim(m), param_dim(m)
-    _, _, rows, cols, src = _pairs(m)
-    e, f = np.nonzero(rows[:, None] == rows[None, :])
-    S = X.T @ X
-    G = np.zeros((d, d))
-    np.add.at(G, (cols[e], cols[f]), S[src[e], src[f]])
-    Msum = np.zeros((m, p))
-    Msum[rows, cols] = X.sum(axis=0)[src]
-    G[:p, p:p + m] = Msum.T
-    G[p:p + m, :p] = Msum
-    G[p:p + m, p:p + m] = n * np.eye(m)
-    return 0.5 * (G + G.T)
 
 
 def polish_setup(data, lam):
@@ -251,9 +228,9 @@ class TestWarmStart:
                 train, _ = split(data, 0.8, np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
                 train = apply_normalizer(train, *fit_normalizer(train.points, Normalize.ZSCORE))
                 cache = build_design(train)
-                G2 = scatter_hessian(train)
+                G2 = reference_hessian(cache.M)
                 np.testing.assert_allclose(G2, cache.G, rtol=1e-13, atol=1e-12)
-                other = DesignCache(a=cache.a, M=cache.M, G=G2)
+                other = DesignCache(a=cache.a, G=G2)
                 assert (other.n, other.m, other.d) == (cache.n, cache.m, cache.d)
                 ref = solve(train, config)
                 seen = []

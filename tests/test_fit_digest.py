@@ -18,7 +18,8 @@ def test_same_digest_twice():
     assert first == second
     assert set(first) == {"digest", "linalg_warnings", "accuracy_pct", "regular_fits",
                           "warm_start_solves", "warm_start_evals", "noisy_digest",
-                          "degenerate_digest", "degenerate_warnings", "degenerate_statuses"}
+                          "degenerate_digest", "degenerate_warnings", "degenerate_statuses",
+                          "degenerate_reversed_statuses"}
     assert len(first["digest"]) == len(first["noisy_digest"]) == 64
     assert len(first["degenerate_digest"]) == 64
     assert 0.0 <= float(first["accuracy_pct"]) <= 100.0
@@ -28,13 +29,14 @@ def test_same_digest_twice():
     assert float(first["warm_start_solves"]) >= 3.0
     # the start value of each stage and at least one trial of its first pass
     assert float(first["warm_start_evals"]) >= 4.0
-    statuses = dict(item.split("=") for item in first["degenerate_statuses"].split())
-    assert list(statuses) == sorted(statuses)
-    assert set(statuses) <= {"converged", "max_iter", "singular_system", "diverged"}
-    assert sum(int(count) for count in statuses.values()) == 60
+    for key in ("degenerate_statuses", "degenerate_reversed_statuses"):
+        statuses = dict(item.split("=") for item in first[key].split())
+        assert list(statuses) == sorted(statuses)
+        assert set(statuses) <= {"converged", "max_iter", "singular_system", "diverged"}
+        assert sum(int(count) for count in statuses.values()) == 60
     # a different trial set must change the iris digest, not the fixed-set ones
     other = run_digest("--seeds", "77", "--trials", "2")
     assert other["digest"] != first["digest"]
     for key in ("noisy_digest", "degenerate_digest", "degenerate_warnings",
-                "degenerate_statuses"):
+                "degenerate_statuses", "degenerate_reversed_statuses"):
         assert other[key] == first[key]

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 import quadsurf
-from quadsurf import (Dataset, DesignCache, InputError, SolverConfig, SurfaceParams,
-                      build_design, margins, param_dim, predict, predict_many, smooth_gradient,
-                      smooth_value, solve, total_loss)
-from quadsurf.model import _packed_features, _pairs, _per_sample_maps
+import quadsurf.baseline as qs_baseline
+import quadsurf.model as qs_model
+import quadsurf.newton as qs_newton
+from quadsurf import (Dataset, DesignCache, InputError, SolverConfig, SolveStatus, SurfaceParams,
+                      build_design, ls_qssvm_fit, margins, param_dim, predict, predict_many,
+                      smooth_gradient, smooth_value, solve, total_loss)
+from quadsurf.model import _gram_scatter, _packed_features, _pairs, _per_sample_maps
 
-from conftest import iris_train, random_dataset
+from conftest import iris_train, random_dataset, reference_hessian, scatter_hessian
 
 
 def fd_gradient(fun, x, h=1e-5):
@@ -43,19 +46,6 @@ def reference_packed(pts):
     m = pts.shape[1]
     iu, ju = np.triu_indices(m, k=1)
     return np.hstack([0.5 * pts**2, pts[:, iu] * pts[:, ju]])
-
-
-def reference_hessian(M):
-    """G = sum_i J_i' J_i with J_i = [M_i, I_m, 0], summed as build_design sums it."""
-    n, m, p = M.shape
-    d = p + m + 1
-    G = np.zeros((d, d))
-    G[:p, :p] = np.einsum("irj,irk->jk", M, M)
-    Msum = M.sum(axis=0)
-    G[:p, p:p + m] = Msum.T
-    G[p:p + m, :p] = Msum
-    G[p:p + m, p:p + m] = n * np.eye(m)
-    return 0.5 * (G + G.T)
 
 
 def fd_hessian(fun, x, h=1e-5):
@@ -127,16 +117,44 @@ class TestBuildDesign:
         # m = 1 has an empty strict upper triangle
         data = random_dataset(rng, 9, m)
         pts = data.points
+        assert set(data.labels) == {-1.0, 1.0}
         cache = build_design(data)
+        assert "M" not in vars(cache) and cache.m == m
         M_ref = reference_maps(pts)
         np.testing.assert_array_equal(_per_sample_maps(pts), M_ref)
+        # built on first read, from the rows of a
         np.testing.assert_array_equal(cache.M, M_ref)
+        assert vars(cache)["M"] is cache.M
         np.testing.assert_array_equal(_packed_features(pts), reference_packed(pts))
-        np.testing.assert_array_equal(cache.G, reference_hessian(M_ref))
+        np.testing.assert_array_equal(cache.G, scatter_hessian(data))
+        # the einsum over the maps sums in another order
+        np.testing.assert_allclose(cache.G, reference_hessian(M_ref), rtol=1e-13, atol=1e-12)
+
+    def test_fits_never_build_the_maps(self, monkeypatch):
+        caches = []
+
+        def recorded_design(data):
+            caches.append(build_design(data))
+            return caches[-1]
+
+        def refuse(pts):
+            raise AssertionError("a fit built the per-sample maps")
+
+        monkeypatch.setattr(qs_model, "_per_sample_maps", refuse)
+        monkeypatch.setattr(qs_newton, "build_design", recorded_design)
+        monkeypatch.setattr(qs_baseline, "build_design", recorded_design)
+        train = iris_train(77, 0)
+        report = solve(train, SolverConfig(lam=100.0))
+        assert report.status is SolveStatus.CONVERGED and report.certificate.passed
+        ls_qssvm_fit(train)
+        assert len(caches) == 2
+        for cache in caches:
+            assert cache.m == train.m
+            assert "M" not in vars(cache)
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_pairs_read_only(self, m):
-        for arr in _pairs(m):
+        for arr in _pairs(m) + _gram_scatter(m):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0

@@ -191,6 +191,24 @@ class TestSolve:
         # active margins are exact zeros up to rounding dust
         assert int((F > 1e-12).sum()) == 0
 
+    def test_row_order_does_not_move_iris_fits(self):
+        # Trials 5 and 14 hold an exact twin row, and each reversed fit there keeps
+        # the other twin of a pair in its support.
+        cfg = SolverConfig(lam=100.0)
+        for t in range(16):
+            train = iris_train(77, t)
+            rows = np.column_stack([train.points, train.labels])
+            rev = train.n - 1 - np.arange(train.n)
+            ref = solve(train, cfg)
+            rep = solve(Dataset(train.points[rev], train.labels[rev]), cfg)
+            assert rep.status is ref.status, t
+            assert rep.certificate.passed == ref.certificate.passed, t
+            assert rep.regular == ref.regular, t
+            theta = ref.final.theta.to_vector()
+            assert np.abs(rep.final.theta.to_vector() - theta).max() <= 1e-12 * np.abs(theta).max()
+            support = {tuple(r) for r in rows[np.flatnonzero(ref.final.z)]}
+            assert {tuple(r) for r in rows[rev[np.flatnonzero(rep.final.z)]]} == support, t
+
     def test_infinite_eps_returns_immediately(self, circ_data):
         rep = solve(circ_data, SolverConfig(eps=math.inf))
         assert rep.status is SolveStatus.CONVERGED
@@ -214,9 +232,10 @@ class TestSolve:
         cache = build_design(circ_data)
         # (config, polished start, steps on the shrink branch).  In the first run every
         # gamma follows the residual down from 1.2e-3.  In the second the start's residual
-        # is 1.4e-13 and the third step's rises to 1.8e-13, so its gamma halves 4.6e-14.
+        # is 2.1e-13 and the next two read 1.9e-13 and 2.9e-13, each above half the
+        # gamma before it, so gamma halves twice: to 1.0e-13, then 5.2e-14.
         runs = [(SolverConfig(eps=1e-12, max_iter=30), False, 0),
-                (SolverConfig(max_iter=3, eps=1e-16), True, 1)]
+                (SolverConfig(max_iter=3, eps=1e-16), True, 2)]
         for cfg, polish, shrinks in runs:
             th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=polish)
             rep = solve(circ_data, cfg, start=(th0, z0))

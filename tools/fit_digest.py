@@ -10,7 +10,7 @@ also fits six noisy circular draws (600 per class, noise 0.3, seeds
 100-105, lam = 100), which take Newton steps, and 60 degenerate designs,
 whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
 0-19, lam = 100) made collinear (x2 = 2 x1), given a duplicated feature
-(x, y, y) or a constant one (x, y, 1).  It prints ten lines:
+(x, y, y) or a constant one (x, y, 1).  It prints eleven lines:
 
     digest             sha256 over theta, z, status, iterations and the
                        certificate JSON of every Newton fit, the LS fit's
@@ -32,6 +32,11 @@ whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
     degenerate_warnings  LinAlgWarnings raised by the degenerate fits
     degenerate_statuses  degenerate Newton fits per final status, as
                        status=count in the order of the status names
+    degenerate_reversed_statuses  the same for the degenerate designs
+                       refitted with their rows in reverse order; it enters
+                       no digest.  Outcomes there turn on rounding along G's
+                       null directions, so this line tells a move that any
+                       change of summation order makes from a regression
 
 Run from the root of a source checkout; the library is imported from its
 ``src/`` directory.  Equal digests mean bit-identical results.
@@ -175,6 +180,18 @@ def degenerate_digest():
     return h.hexdigest(), _linalg_warnings(caught), statuses
 
 
+def degenerate_reversed_statuses():
+    """Newton fits per status name over the degenerate designs with their rows reversed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return Counter(solve(Dataset(points=data.points[::-1], labels=data.labels[::-1]),
+                             SOLVER).status.value for data in degenerate_designs())
+
+
+def _status_line(statuses):
+    return " ".join(f"{k}={statuses[k]}" for k in sorted(statuses))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[77, 9000])
@@ -193,7 +210,8 @@ def main(argv=None):
     print(f"noisy_digest         {noisy_digest()}")
     print(f"degenerate_digest    {degenerate}")
     print(f"degenerate_warnings  {n_degenerate_warn}")
-    print("degenerate_statuses  " + " ".join(f"{k}={statuses[k]}" for k in sorted(statuses)))
+    print(f"degenerate_statuses  {_status_line(statuses)}")
+    print(f"degenerate_reversed_statuses  {_status_line(degenerate_reversed_statuses())}")
 
 
 if __name__ == "__main__":
