@@ -284,6 +284,8 @@ def _active_set_polish(act, cache, tau, alpha, passes=40):
             continue
         z0 = np.zeros(n)
         z0[act] = zeta
+        # the gamma = 0 saddle over the final set, factored: `regular`'s verdict on it
+        cache._saddle_verdicts[act.tobytes()] = bool(rcond >= _EPS)
         return SurfaceParams.from_vector(cand, cache.m), z0
     return None
 

@@ -2,7 +2,8 @@
 
 `fit` trains, certifies and writes the library's own record of the fit,
 `SolveReport.to_dict()`, whose `regular` also answers whether every
-nonempty subset of the final working set is regular.  Exit codes: 0 on
+nonempty subset of the final working set is regular: one saddle
+factorization answers both, the polish's when the fit ends on its set.  Exit codes: 0 on
 success (a converged fit whose certificate passes, a completed run), 2 on
 input errors, 3 on solver failures (a fit that did not converge or is not
 certified).

@@ -260,6 +260,9 @@ class DesignCache:
     M : (n, m, p)  per-sample maps wtri -> W x_i, built from `a` on first
         read and kept; in the library only `smooth_value` reads it, so no fit
         builds it
+
+    The warm start's polish also leaves on the design the regularity verdict
+    of the saddle system it last factored (see `stationarity.regular`).
     """
 
     a: np.ndarray
@@ -276,6 +279,12 @@ class DesignCache:
         p, m = tri_dim(self.m), self.m
         # the labels are +-1, so the product recovers the feature rows exactly
         return _per_sample_maps(self.a[:, p:p + m] * self.a[:, -1:])
+
+    @cached_property
+    def _saddle_verdicts(self) -> dict:
+        """Regularity verdicts of saddle systems factored on this design, keyed by
+        the working set's index bytes; `stationarity.regular` reads them."""
+        return {}
 
 
 def build_design(data: Dataset) -> DesignCache:

@@ -24,8 +24,8 @@ from scipy.linalg import LinAlgError
 
 from .baseline import warm_start_point
 from .model import Dataset, DesignCache, SurfaceParams, _integer_setting, build_design
-from .stationarity import (IndexSets, PStatCertificate, ResidualParts, pstationary_check,
-                           regular, residual, saddle_matrix, solve_symmetric)
+from .stationarity import (IndexSets, PStatCertificate, ResidualParts, _certify, regular,
+                           residual, saddle_matrix, solve_symmetric)
 
 GAMMA_INIT, GAMMA_SHRINK, GAMMA_FLOOR = 0.1, 0.5, 1e-14  # see gamma_update
 SAFEGUARD_WINDOW = 5  # consecutive residual increases that end a solve as diverged
@@ -130,7 +130,9 @@ class SolveReport:
     config: SolverConfig  # the parameters `solve` ran with
     # Seconds in each phase of `solve`: "design", "warm_start" (0.0 when `start`
     # was given), "newton" (the loop) and "certificate" (with the regularity
-    # verdict).  They sum to at most wall_time.
+    # verdict; the certificate reuses the loop's last margins and G theta, and
+    # the verdict the polish's factorization when the fit ends on its set).
+    # They sum to at most wall_time.
     phase_s: dict
     wall_time: float
 
@@ -232,8 +234,9 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
 
     t_newton = time.perf_counter()
     final = SolverState(theta=theta, z=z, gamma=gamma, residual=res, iter=k)
-    certificate = pstationary_check(theta, z, config.alpha, config.lam, cache,
-                                    tol=config.eps * 10.0)
+    # res was evaluated at the final (theta, z): every exit above follows a residual
+    certificate = _certify(res.F, res.G_theta, z, config.alpha, config.lam, cache,
+                           tol=config.eps * 10.0)
     is_regular = regular(res.sets.working, cache)
     t_cert = time.perf_counter()
     phase_s = {"design": t_design - t0, "warm_start": t_warm - t_design,

@@ -81,6 +81,7 @@ def prox_contains(u, z, p: ProxParams, tol: float = 0.0):
     u = np.asarray(u, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     boundary, interior = prox_branches(z, p.threshold, tol)
-    out = np.where(boundary, np.minimum(np.abs(u), np.abs(u - z)) <= tol,
-                   np.where(interior, np.abs(u) <= tol, np.abs(u - z) <= tol))
+    to_zero, to_z = np.abs(u), np.abs(u - z)
+    out = np.where(boundary, np.minimum(to_zero, to_z) <= tol,
+                   np.where(interior, to_zero <= tol, to_z <= tol))
     return bool(out) if out.ndim == 0 else out

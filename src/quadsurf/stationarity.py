@@ -9,9 +9,12 @@ to a zero of the block residual
     Psi(theta, z) = ( grad f + a_T' z_T,  F(theta)_T,  z_{T^c} ),
 
 so the residual norm doubles as a computable optimality certificate.
+`solve` certifies from the margins and G theta of its last `residual`;
+`pstationary_check` computes them itself, then makes the same tests.
 `regular` judges the working set itself: whether the saddle system over T
 is nonsingular, the assumption behind the Newton iteration's local
-quadratic rate.
+quadratic rate.  It factors that saddle unless the warm start's polish
+already has, on the same design and set.
 """
 
 import functools
@@ -58,25 +61,33 @@ def index_sets(F: np.ndarray, z: np.ndarray, alpha: float, lam: float) -> IndexS
         raise ValueError(f"F and z disagree in length: {F.shape} vs {z.shape}")
     band = _SET_BAND * max(1.0, tau)
     in_t2, in_t1 = prox_branches(F + alpha * z, tau, band)
-    in_t3 = ~(in_t1 | in_t2)
-    # t_o: a zero margin whose dual step alpha*z sits at a break point itself
-    in_to = in_t2 & (np.abs(F) <= band) & prox_branches(alpha * z, tau, band)[0]
+    # t_o: a zero margin whose dual step alpha*z sits at a break point itself; the
+    # dual test runs only when t_2 holds a zero margin
+    in_to = in_t2 & (np.abs(F) <= band)
+    if in_to.any():
+        in_to &= prox_branches(alpha * z, tau, band)[0]
 
-    idx = np.arange(F.shape[0])
     # t_o lies in t_2, which t_1 excludes, so the working set is a disjoint union
-    return IndexSets(t_o=idx[in_to], t_1=idx[in_t1], t_2=idx[in_t2], t_3=idx[in_t3],
-                     working=idx[in_to | in_t1])
+    return IndexSets(t_o=np.flatnonzero(in_to), t_1=np.flatnonzero(in_t1),
+                     t_2=np.flatnonzero(in_t2), t_3=np.flatnonzero(~(in_t1 | in_t2)),
+                     working=np.flatnonzero(in_to | in_t1))
 
 
 @dataclass(frozen=True)
 class ResidualParts:
-    """Blocks of the stationarity residual and the index sets they were taken over."""
+    """Blocks of the stationarity residual and the index sets they were taken over.
+
+    `F` and `G_theta` are the margins and the smooth gradient G theta at theta,
+    from which the blocks were formed; `solve` certifies its endpoint from them.
+    """
 
     grad_part: np.ndarray
     margin_part: np.ndarray
     dual_part: np.ndarray
     norm: float
     sets: IndexSets
+    F: np.ndarray
+    G_theta: np.ndarray
 
 
 def residual(theta: SurfaceParams, z: np.ndarray, alpha: float, lam: float,
@@ -92,15 +103,14 @@ def residual(theta: SurfaceParams, z: np.ndarray, alpha: float, lam: float,
     mask = np.zeros(cache.n, dtype=bool)
     mask[working] = True
 
-    g = smooth_gradient(theta, cache)
-    if working.size:
-        g = g + cache.a[working].T @ z[working]
+    G_theta = smooth_gradient(theta, cache)
+    g = G_theta + cache.a[working].T @ z[working] if working.size else G_theta
     margin_part = F[working]
     dual_part = z[~mask]
     norm = math.sqrt(float(g @ g) + float(margin_part @ margin_part)
                      + float(dual_part @ dual_part))
     return ResidualParts(grad_part=g, margin_part=margin_part, dual_part=dual_part,
-                         norm=norm, sets=sets)
+                         norm=norm, sets=sets, F=F, G_theta=G_theta)
 
 
 def alpha_bounds(F: np.ndarray, z: np.ndarray, lam: float, atol: float = 0.0):
@@ -162,10 +172,19 @@ def pstationary_check(theta: SurfaceParams, z: np.ndarray, alpha: float, lam: fl
     z = np.asarray(z, dtype=np.float64).ravel()
     if z.shape[0] != cache.n:
         raise ValueError(f"z has length {z.shape[0]}, expected {cache.n}")
+    return _certify(margins(theta, cache), smooth_gradient(theta, cache), z, alpha, lam,
+                    cache, tol)
 
-    g = smooth_gradient(theta, cache) + cache.a.T @ z
-    grad_residual = float(np.linalg.norm(g))
-    F = margins(theta, cache)
+
+def _certify(F: np.ndarray, G_theta: np.ndarray, z: np.ndarray, alpha: float, lam: float,
+             cache: DesignCache, tol: float) -> PStatCertificate:
+    """`pstationary_check` at the margins F and smooth gradient G_theta of theta.
+
+    `solve` passes the F and G theta of its last `residual`, computed at the
+    same (theta, z), so it certifies without evaluating either again.
+    """
+    g = G_theta + cache.a.T @ z
+    grad_residual = math.sqrt(g @ g)  # np.linalg.norm's sqrt(dot(g, g)), bit for bit
     p = ProxParams(alpha=alpha, lam=lam)
     prox_ok = bool(np.all(prox_contains(F, F + alpha * z, p, tol=tol)))
 
@@ -260,8 +279,14 @@ def regular(working: np.ndarray, cache: DesignCache) -> bool:
     (rcond below machine epsilon).  An empty set is never regular: its
     saddle is G alone, which has no curvature in c.
 
+    When T is the final set of the warm start's polish on this design, the
+    polish has just factored this very matrix through the same dsytrf and
+    dsycon (its right-hand side differs, which neither reads), and its
+    verdict, kept on the design, is returned with no second factorization;
+    a 0-step fit that ends at the polished start pays for one saddle solve.
+
     For a G built by `build_design`, a nonempty T is regular exactly when
-    every nonempty subset of T is, so this one solve also answers the
+    every nonempty subset of T is, so this one verdict also answers the
     subset question.  A v in null(G) has W x_i + b = 0 at every sample, so
     b'x_i is one value kappa for all i, and every margin row on null(G)
     is, up to the sign y_i, one functional l(v) = -(kappa/2 + c).  If
@@ -274,6 +299,9 @@ def regular(working: np.ndarray, cache: DesignCache) -> bool:
     working = np.asarray(working, dtype=int).ravel()
     if working.size > cache.d:
         return False
+    known = cache._saddle_verdicts.get(working.tobytes())
+    if known is not None:
+        return known
     K = saddle_matrix(working, cache)
     x, rcond = solve_symmetric(K, np.zeros(K.shape[0]))
     return x is not None and rcond >= _EPS

@@ -47,6 +47,18 @@ def iris_train(seed, trial):
     return apply_normalizer(train, *fit_normalizer(train.points, Normalize.ZSCORE))
 
 
+def degenerate_designs():
+    """The 60 degenerate designs of tools/fit_digest.py, in its order: circular draws
+    (50 per class, seeds 0-19) made collinear (x, 2x), given a duplicated feature
+    (x, y, y) or a constant one (x, y, 1)."""
+    for seed in range(20):
+        data = generate(GenSpec(kind="circular", n_per_class=50, seed=seed))
+        x, y = data.points.T
+        for pts in (np.column_stack([x, 2.0 * x]), np.column_stack([x, y, y]),
+                    np.column_stack([x, y, np.ones_like(x)])):
+            yield Dataset(points=pts, labels=data.labels)
+
+
 def _with_b_blocks(G, Msum, n):
     """Fill G's (wtri, b) and (b, b) blocks from sum_i M_i and n, then symmetrize."""
     m, p = Msum.shape

@@ -19,12 +19,14 @@ def test_same_digest_twice():
     assert set(first) == {"digest", "linalg_warnings", "accuracy_pct", "regular_fits",
                           "warm_start_solves", "warm_start_evals", "noisy_digest",
                           "degenerate_digest", "degenerate_warnings", "degenerate_statuses",
-                          "degenerate_reversed_statuses"}
+                          "degenerate_reversed_statuses", "endpoint_mismatches"}
     assert len(first["digest"]) == len(first["noisy_digest"]) == 64
     assert len(first["degenerate_digest"]) == 64
     assert 0.0 <= float(first["accuracy_pct"]) <= 100.0
     assert 0 <= int(first["regular_fits"]) <= 4
     assert int(first["degenerate_warnings"]) >= 0
+    # the in-`solve` certificate and `regular` read as a fresh evaluation of the endpoint
+    assert first["endpoint_mismatches"] == "0"
     # the LS solve and at least one hinge pass per stage
     assert float(first["warm_start_solves"]) >= 3.0
     # the start value of each stage and at least one trial of its first pass

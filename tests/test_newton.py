@@ -2,22 +2,25 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
 import quadsurf.model as qs_model
 import quadsurf.newton as qs_newton
+import quadsurf.stationarity as qs_stationarity
 from quadsurf import (Dataset, GenSpec, SolveStatus, SolverConfig, SolverState,
                       SurfaceParams, accuracy, build_design, gamma_update, generate,
-                      index_sets, load_csv, margins, newton_direction, rate_probe, residual,
-                      solve, warm_start_point)
+                      index_sets, load_csv, margins, newton_direction, pstationary_check,
+                      rate_probe, regular, residual, solve, warm_start_point)
 from quadsurf.baseline import _lsq_solve
 from quadsurf.newton import GAMMA_FLOOR, GAMMA_INIT, GAMMA_SHRINK
 from quadsurf.stationarity import solve_symmetric
 
-from conftest import iris_train, random_dataset
+from conftest import degenerate_designs, iris_train, random_dataset
 
 
 class TestGammaUpdate:
@@ -339,7 +342,8 @@ class TestStart:
             solve(circ_data, cfg, start=(theta0, z0[:-1]))
 
     def test_one_margin_evaluation_per_pass(self, monkeypatch):
-        # each pass reads the margins of its iterate once, and the certificate once more
+        # each pass reads the margins of its iterate once; the certificate reuses the
+        # last pass's
         calls = []
         orig = qs_model.margins
 
@@ -353,7 +357,61 @@ class TestStart:
                 monkeypatch.setattr(mod, "margins", spy)
         rep = solve(noisy_circle(), SolverConfig())
         assert rep.status is SolveStatus.CONVERGED and rep.final.iter == 2
-        assert len(calls) == rep.final.iter + 2
+        assert len(calls) == rep.final.iter + 1
+
+
+class TestEndpoint:
+    """`solve` certifies from its last residual and takes `regular` from the polish's
+    final saddle solve; both must read as a fresh evaluation of the endpoint."""
+
+    def test_endpoint_matches_a_fresh_recomputation(self, monkeypatch):
+        cfg = SolverConfig(lam=100.0)
+        fits = ([iris_train(77, t) for t in range(16)]
+                + [generate(GenSpec(kind="circular", n_per_class=600, seed=s, noise=0.3))
+                   for s in range(100, 106)]
+                + list(degenerate_designs()))
+        caches, real_build = [], qs_newton.build_design
+
+        def kept_design(data):
+            caches.append(real_build(data))
+            return caches[-1]
+
+        monkeypatch.setattr(qs_newton, "build_design", kept_design)
+        flagged_polish = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            for i, data in enumerate(fits):
+                rep = solve(data, cfg)
+                final = rep.final
+                cache = build_design(data)
+                fresh = pstationary_check(final.theta, final.z, cfg.alpha, cfg.lam, cache,
+                                          tol=10.0 * cfg.eps)
+                assert rep.certificate.to_dict() == fresh.to_dict(), i
+                working = final.working.working
+                assert rep.regular == regular(working, cache), i
+                recorded = caches[-1]._saddle_verdicts.get(working.tobytes())
+                flagged_polish += recorded is False
+        # the polished endpoints include final saddle solves that LAPACK flagged
+        assert flagged_polish > 0
+
+    def test_certificate_phase_solves(self, monkeypatch):
+        # Inside `solve` only `regular` reaches `solve_symmetric` through the
+        # stationarity module: the polish and the Newton steps hold their own names.
+        calls = []
+        real = qs_stationarity.solve_symmetric
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qs_stationarity, "solve_symmetric", counted)
+        data, cfg = iris_train(77, 0), SolverConfig(lam=100.0)
+        rep = solve(data, cfg)
+        assert rep.final.iter == 0 and rep.regular
+        assert len(calls) == 0  # the polish factored the endpoint's saddle already
+        started = solve(data, cfg, start=(rep.final.theta, rep.final.z))
+        assert started.final.iter == 0 and started.regular
+        assert len(calls) == 1  # a given start brings no factored saddle
 
 
 def is_constant(rep):

@@ -119,6 +119,36 @@ class TestIndexSets:
             assert idx, f"no sample lands in {name}"
         np.testing.assert_array_equal(got.working, sorted(expect["t_o"] + expect["t_1"]))
 
+    @pytest.mark.parametrize("zero_margin", [True, False])
+    def test_matches_sample_loop_with_and_without_a_zero_margin_in_t2(self, rng, zero_margin):
+        # t_o's dual test runs only when t_2 holds a zero margin; both paths must
+        # classify as the per-sample loop does
+        alpha, lam = 0.5, 1.3
+        tau = ProxParams(alpha=alpha, lam=lam).threshold
+        band = 1e-12 * max(1.0, tau)
+        for _ in range(100):
+            n = int(rng.integers(4, 16))
+            F = rng.normal(size=n)
+            z = rng.normal(size=n)
+            edge = rng.choice(n, size=3, replace=False)
+            # a margin at tau with no dual: in t_2, nonzero
+            F[edge[0]], z[edge[0]] = tau, 0.0
+            if zero_margin:
+                # zero margins whose dual step alpha*z sits at tau (in t_o) or off
+                # the break points (in t_2 only)
+                F[edge[1]], z[edge[1]] = 0.0, 2.0 * tau
+                F[edge[2]], z[edge[2]] = 0.9 * band, -3.0 * band
+            got = index_sets(F, z, alpha, lam)
+            expect = index_sets_loop(F, z, alpha, lam)
+            for name, idx in expect.items():
+                np.testing.assert_array_equal(getattr(got, name), idx, err_msg=name)
+            np.testing.assert_array_equal(got.working, sorted(expect["t_o"] + expect["t_1"]))
+            assert np.any(np.abs(F[got.t_2]) <= band) == zero_margin
+            if zero_margin:
+                assert edge[1] in got.t_o and edge[2] in np.setdiff1d(got.t_2, got.t_o)
+            else:
+                assert got.t_o.size == 0
+
     def test_partition(self, rng):
         for _ in range(200):
             n = int(rng.integers(1, 12))
@@ -173,6 +203,17 @@ class TestResidual:
         expect = math.sqrt(np.sum(r.grad_part**2) + np.sum(r.margin_part**2)
                            + np.sum(r.dual_part**2))
         assert r.norm == pytest.approx(expect, rel=1e-15)
+
+    def test_keeps_margins_and_smooth_gradient_bit_for_bit(self, rng):
+        for n, m in ((5, 1), (9, 2), (20, 3)):
+            cache = build_design(random_dataset(rng, n, m))
+            theta = SurfaceParams.from_vector(rng.normal(size=cache.d), m)
+            z = placed_duals(theta, cache, [0, n - 1])
+            r = residual(theta, z, 1.0, 1.0, cache)
+            assert r.sets.working.size == 2
+            np.testing.assert_array_equal(r.F, margins(theta, cache))
+            np.testing.assert_array_equal(r.G_theta, smooth_gradient(theta, cache))
+            np.testing.assert_array_equal(r.margin_part, r.F[r.sets.working])
 
     def test_permutation_invariance(self, rng):
         data = random_dataset(rng, 7, 2)

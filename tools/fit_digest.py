@@ -10,7 +10,7 @@ also fits six noisy circular draws (600 per class, noise 0.3, seeds
 100-105, lam = 100), which take Newton steps, and 60 degenerate designs,
 whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
 0-19, lam = 100) made collinear (x2 = 2 x1), given a duplicated feature
-(x, y, y) or a constant one (x, y, 1).  It prints eleven lines:
+(x, y, y) or a constant one (x, y, 1).  It prints twelve lines:
 
     digest             sha256 over theta, z, status, iterations and the
                        certificate JSON of every Newton fit, the LS fit's
@@ -37,6 +37,12 @@ whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
                        no digest.  Outcomes there turn on rounding along G's
                        null directions, so this line tells a move that any
                        change of summation order makes from a regression
+    endpoint_mismatches  iris, noisy and degenerate Newton fits whose
+                       certificate or `regular` differs from
+                       `pstationary_check` and `regular` evaluated afresh at
+                       the final (theta, z) on a newly built design; it enters
+                       no digest and reads 0 when `solve` evaluates its
+                       endpoint faithfully
 
 Run from the root of a source checkout; the library is imported from its
 ``src/`` directory.  Equal digests mean bit-identical results.
@@ -65,8 +71,8 @@ from scipy.linalg import LinAlgWarning  # noqa: E402
 
 import quadsurf.baseline as qs_baseline  # noqa: E402
 from quadsurf import (Dataset, GenSpec, Normalize, SolverConfig, SolveStatus,  # noqa: E402
-                      apply_normalizer, fit_normalizer, generate, load_csv, ls_qssvm_fit,
-                      predict_many, solve, split)
+                      apply_normalizer, build_design, fit_normalizer, generate, load_csv,
+                      ls_qssvm_fit, predict_many, pstationary_check, regular, solve, split)
 
 IRIS_CSV = ROOT / "data" / "iris.csv"
 SOLVER = SolverConfig(lam=100.0)
@@ -80,6 +86,16 @@ def _update_with_fit(h, report):
     h.update(np.asarray(final.z, dtype=np.float64).tobytes())
     h.update(f"{report.status.value} {final.iter}\n".encode())
     h.update(report.certificate.to_json(sort_keys=True).encode())
+
+
+def _endpoint_mismatch(report, data) -> bool:
+    """Whether the certificate or `regular` of a fit differs from their fresh
+    evaluation at its final (theta, z) on a newly built design of `data`."""
+    final, cfg = report.final, report.config
+    cache = build_design(data)
+    cert = pstationary_check(final.theta, final.z, cfg.alpha, cfg.lam, cache, tol=10.0 * cfg.eps)
+    return (cert.to_dict() != report.certificate.to_dict()
+            or regular(final.working.working, cache) != report.regular)
 
 
 def _linalg_warnings(caught) -> int:
@@ -111,11 +127,12 @@ def _counted_warm_start_calls():
 
 def fit_digest(seeds, trials: int):
     """(sha256 hex digest, LinAlgWarning count, mean Newton accuracy in %, regular fits,
-    mean warm-start solves per fit, mean hinge objective evaluations per fit)."""
+    mean warm-start solves per fit, mean hinge objective evaluations per fit, endpoint
+    mismatches)."""
     data = load_csv(IRIS_CSV, class_pair=(1, 2))
     h = hashlib.sha256()
     accs = []
-    n_regular = 0
+    n_regular = n_mismatch = 0
     n_calls = Counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LinAlgWarning)
@@ -132,6 +149,7 @@ def fit_digest(seeds, trials: int):
                 n_calls += calls
                 _update_with_fit(h, report)
                 n_regular += report.regular
+                n_mismatch += _endpoint_mismatch(report, train)
                 labels = predict_many(report.final.theta, test.points)
                 h.update(labels.tobytes())
 
@@ -144,15 +162,19 @@ def fit_digest(seeds, trials: int):
     acc = float(np.mean(accs)) if accs else float("nan")
     fits = len(seeds) * trials
     return (h.hexdigest(), _linalg_warnings(caught), acc, n_regular, n_calls["solves"] / fits,
-            n_calls["evals"] / fits)
+            n_calls["evals"] / fits, n_mismatch)
 
 
 def noisy_digest():
-    """sha256 hex digest over the Newton fits of the NOISY draws."""
+    """(sha256 hex digest, endpoint mismatches) over the Newton fits of the NOISY draws."""
     h = hashlib.sha256()
+    n_mismatch = 0
     for spec in NOISY:
-        _update_with_fit(h, solve(generate(spec), SOLVER))
-    return h.hexdigest()
+        data = generate(spec)
+        report = solve(data, SOLVER)
+        _update_with_fit(h, report)
+        n_mismatch += _endpoint_mismatch(report, data)
+    return h.hexdigest(), n_mismatch
 
 
 def degenerate_designs():
@@ -166,18 +188,20 @@ def degenerate_designs():
 
 
 def degenerate_digest():
-    """(sha256 hex digest, LinAlgWarning count, Newton fits per status name) over the
-    Newton and LS fits of the degenerate designs."""
+    """(sha256 hex digest, LinAlgWarning count, Newton fits per status name, endpoint
+    mismatches) over the Newton and LS fits of the degenerate designs."""
     h = hashlib.sha256()
     statuses = Counter()
+    n_mismatch = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LinAlgWarning)
         for data in degenerate_designs():
             report = solve(data, SOLVER)
             _update_with_fit(h, report)
             statuses[report.status.value] += 1
+            n_mismatch += _endpoint_mismatch(report, data)
             h.update(ls_qssvm_fit(data).to_vector().tobytes())
-    return h.hexdigest(), _linalg_warnings(caught), statuses
+    return h.hexdigest(), _linalg_warnings(caught), statuses, n_mismatch
 
 
 def degenerate_reversed_statuses():
@@ -199,19 +223,22 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.trials < 1:
         ap.error("--trials must be >= 1")
-    digest, n_warn, acc, n_regular, solves, evals = fit_digest(args.seeds, args.trials)
-    degenerate, n_degenerate_warn, statuses = degenerate_digest()
+    digest, n_warn, acc, n_regular, solves, evals, iris_mismatch = fit_digest(args.seeds,
+                                                                             args.trials)
+    noisy, noisy_mismatch = noisy_digest()
+    degenerate, n_degenerate_warn, statuses, degenerate_mismatch = degenerate_digest()
     print(f"digest               {digest}")
     print(f"linalg_warnings      {n_warn}")
     print(f"accuracy_pct         {acc:.3f}")
     print(f"regular_fits         {n_regular}")
     print(f"warm_start_solves    {solves:.3f}")
     print(f"warm_start_evals     {evals:.3f}")
-    print(f"noisy_digest         {noisy_digest()}")
+    print(f"noisy_digest         {noisy}")
     print(f"degenerate_digest    {degenerate}")
     print(f"degenerate_warnings  {n_degenerate_warn}")
     print(f"degenerate_statuses  {_status_line(statuses)}")
     print(f"degenerate_reversed_statuses  {_status_line(degenerate_reversed_statuses())}")
+    print(f"endpoint_mismatches  {iris_mismatch + noisy_mismatch + degenerate_mismatch}")
 
 
 if __name__ == "__main__":
