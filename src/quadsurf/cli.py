@@ -99,7 +99,8 @@ def cmd_fit(args) -> int:
     log = sys.stderr if args.out and _is_stdout(args.out) else sys.stdout
     print(f"status={report.status.value} iters={report.final.iter} "
           f"residual={report.final.residual.norm:.3e} train_acc={acc:.2f}% "
-          f"certified={report.certificate.passed} regular={report.regular}", file=log)
+          f"certified={report.certificate.passed} regular={report.regular} "
+          f"warm_start={report.warm_start_route}", file=log)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)

@@ -76,14 +76,19 @@ def _build_circular(spec: GenSpec, rng):
     r = np.concatenate([rng.uniform(0.05, 0.97, size=k),
                         rng.uniform(_R_LO, _R_HI, size=k)])
     ang = rng.uniform(0.0, 2.0 * np.pi, size=2 * k)
-    pts = r[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    # one (2k, 2) buffer, filled and scaled in place
+    pts = np.empty((2 * k, 2))
+    np.cos(ang, out=pts[:, 0])
+    np.sin(ang, out=pts[:, 1])
+    pts *= r[:, None]
 
     if spec.noise > 0:
-        pts = pts + rng.normal(0.0, spec.noise, size=pts.shape)
+        pts += rng.normal(0.0, spec.noise, size=pts.shape)
         rj = np.linalg.norm(pts, axis=1)
-        rj = np.where(rj == 0.0, 1e-9, rj)
+        rj[rj == 0.0] = 1e-9
         target = np.where(labels > 0, np.minimum(rj, 0.97), np.clip(rj, _R_LO, _R_HI))
-        pts = pts * (target / rj)[:, None]
+        target /= rj
+        pts *= target[:, None]
 
     # h = kappa*(r0^2 - |x|^2) hits +1 at radius 1 and -1 at radius 1.4
     kappa = 2.0 / (_R_LO**2 - _R_IN**2)

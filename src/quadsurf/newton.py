@@ -128,6 +128,9 @@ class SolveReport:
     # a point the local rate does not cover, a constant surface among them.
     regular: bool
     config: SolverConfig  # the parameters `solve` ran with
+    # How the start was found: "ldp" (the hard-margin start), "continuation" (the
+    # squared-hinge continuation, also when it failed) or "given" (`start=`).
+    warm_start_route: str
     # Seconds in each phase of `solve`: "design", "warm_start" (0.0 when `start`
     # was given), "newton" (the loop) and "certificate" (with the regularity
     # verdict; the certificate reuses the loop's last margins and G theta, and
@@ -147,6 +150,7 @@ class SolveReport:
             "working_sizes": [int(w) for w in self.working_sizes],
             "certificate": self.certificate.to_dict(),
             "config": asdict(self.config),
+            "warm_start_route": self.warm_start_route,
             "theta": {"wtri": theta.wtri.tolist(), "b": theta.b.tolist(), "c": theta.c},
             "phase_s": dict(self.phase_s),
             "wall_time_s": self.wall_time,
@@ -176,12 +180,15 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
     t_design = t_warm = time.perf_counter()
 
     status = None  # set before the loop only when the warm start fails
+    route = "given"
     if start is None:
         try:
             start = warm_start_point(cache, alpha=config.alpha, lam=config.lam)
+            route = start.route
         except LinAlgError:
             start = SurfaceParams.zeros(cache.m), np.zeros(cache.n)
             status = SolveStatus.SINGULAR_SYSTEM
+            route = "continuation"
         t_warm = time.perf_counter()
     theta, z = start
     z = np.asarray(z, dtype=np.float64).copy()
@@ -243,7 +250,8 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
                "newton": t_newton - t_warm, "certificate": t_cert - t_newton}
     return SolveReport(final=final, residual_trace=residual_trace, gamma_trace=gamma_trace,
                        working_sizes=working_sizes, status=status, certificate=certificate,
-                       regular=is_regular, config=config, phase_s=phase_s,
+                       regular=is_regular, config=config, warm_start_route=route,
+                       phase_s=phase_s,
                        wall_time=time.perf_counter() - t0)
 
 

@@ -267,6 +267,13 @@ def solve_symmetric(K: np.ndarray, rhs: np.ndarray, positive_definite: bool = Fa
     return None, 0.0
 
 
+def cholesky_lower(K: np.ndarray):
+    """Lower Cholesky factor L of symmetric positive-definite K (L L' = K, lower
+    triangle read) by dpotrf, or None when LAPACK refuses it."""
+    L, info = lapack.dpotrf(K, lower=1)
+    return L if info == 0 else None
+
+
 def regular(working: np.ndarray, cache: DesignCache) -> bool:
     """Whether the gamma = 0 saddle matrix over the working set T is nonsingular.
 

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quadsurf.baseline as qs_baseline
 from quadsurf import (Dataset, GenSpec, Normalize, apply_normalizer, build_design,
                       fit_normalizer, generate, load_csv, param_dim, split, tri_dim)
 from quadsurf.model import _pairs
@@ -25,6 +26,13 @@ def small_data(rng):
 @pytest.fixture
 def small_cache(small_data):
     return build_design(small_data)
+
+
+@pytest.fixture
+def continuation_only(monkeypatch):
+    """Warm starts skip the hard-margin start, as when scipy's compiled NNLS cannot
+    be loaded, so iris fits run the squared-hinge continuation."""
+    monkeypatch.setattr(qs_baseline, "_nnls", lambda: None)
 
 
 @pytest.fixture

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,9 @@ from quadsurf.baseline import _active_set_polish, _hinge_sq_minimize, _lsq_syste
 from quadsurf.bench import METHODS, _fit_and_score
 from quadsurf.stationarity import solve_symmetric
 
-from conftest import IRIS_CSV, iris_train, reference_hessian
+from conftest import IRIS_CSV, degenerate_designs, iris_train, reference_hessian
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def reference_hinge_value(th, A, G, mu):
@@ -334,8 +340,9 @@ def spy_stages(monkeypatch):
 
 
 class TestLapackRoute:
+    @pytest.mark.usefixtures("continuation_only")
     def test_bunch_kaufman_route_gives_the_same_fits(self, monkeypatch):
-        # the warm start's positive-definite solves sent through dsytrf instead
+        # the continuation's positive-definite solves sent through dsytrf instead
         # of Cholesky: every fit keeps its working set and its theta
         cfg = SolverConfig(lam=100.0)
         expect = [solve(iris_train(77, t), cfg) for t in range(16)]
@@ -354,6 +361,7 @@ class TestLapackRoute:
         assert any(rerouted)
 
 
+@pytest.mark.usefixtures("continuation_only")
 class TestContinuationStart:
     @pytest.mark.parametrize("seed, trial", [(77, t) for t in range(8)] + [(9000, 87)])
     def test_same_warm_start_as_a_continuation_from_1e2(self, monkeypatch, seed, trial):
@@ -443,6 +451,7 @@ class TestRayStart:
         s = _ray_scale(0.0, yh, 1e4)
         assert s == pytest.approx(brute_ray_scale(0.0, yh, 1e4), rel=1e-12)
 
+    @pytest.mark.usefixtures("continuation_only")
     def test_first_iris_trials_take_fewer_hinge_solves(self, monkeypatch):
         # Exact hinge solves and objective evaluations over the first 16 iris
         # trials of seed 77: 227 and 455 from the separable-only rescale with
@@ -578,6 +587,7 @@ class TestHingeLoop:
         np.testing.assert_array_equal(th, expect)
         assert not np.array_equal(th, th0)
 
+    @pytest.mark.usefixtures("continuation_only")
     def test_refused_ridged_fallback_ends_the_fit_as_singular_system(self, monkeypatch):
         train = iris_train(77, 0)
         th0, cache = stage_start(train, 1e4)
@@ -604,6 +614,7 @@ class TestHingeLoop:
         np.testing.assert_array_equal(rep.final.z, 0.0)
 
     @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+    @pytest.mark.usefixtures("continuation_only")
     def test_flagged_ridged_fallback_ends_the_fit_as_singular_system(self, monkeypatch):
         # a refused exact attempt whose ridged fallback LAPACK flags: no step is
         # taken from the flagged solution, and no warning is emitted
@@ -654,6 +665,176 @@ class TestNoisyDraws:
                 rep = solve(generate(spec), config)
                 assert rep.status is SolveStatus.CONVERGED, (seed, k)
                 assert rep.certificate.passed, (seed, k)
+
+
+def small_ldp(seed):
+    """(E, f) of a least-distance program's NNLS with 6 rows and 40 columns."""
+    E = np.asfortranarray(np.random.default_rng(seed).standard_normal((6, 40)))
+    f = np.zeros(6)
+    f[-1] = 1.0
+    return E, f
+
+
+def linalg_warnings(fits):
+    """(list of what `fits()` returns, LinAlgWarnings it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", LinAlgWarning)
+        out = fits()
+    return out, sum(issubclass(w.category, LinAlgWarning) for w in caught)
+
+
+class TestLdpStart:
+    """The hard-margin warm start: scipy's private compiled NNLS, loaded from its
+    extension file, then one polish; the continuation whenever it is rejected."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_private_nnls_matches_scipy_optimize(self, seed):
+        from scipy.optimize import nnls as reference
+        nnls = qs_baseline._nnls()
+        assert nnls is not None
+        E, f = small_ldp(seed)
+        u, rnorm, info = nnls(E, f, 3 * E.shape[1])
+        assert info == 1
+        ref_u, ref_rnorm = reference(E, f)
+        np.testing.assert_allclose(u, ref_u, rtol=1e-12, atol=1e-15)
+        assert rnorm == pytest.approx(ref_rnorm, rel=1e-12, abs=1e-15)
+        assert np.all(u >= 0.0)
+        # the inputs are not written to
+        np.testing.assert_array_equal(E, small_ldp(seed)[0])
+
+    def test_private_nnls_signature_and_info(self):
+        nnls = qs_baseline._nnls()
+        E, f = small_ldp(3)
+        # three positional arguments, maxiter the third; its docstring is stale
+        with pytest.raises(TypeError):
+            nnls(E, f)
+        u, rnorm, info = nnls(E, f, 120)
+        assert info == 1 and u.shape == (40,) and isinstance(rnorm, float)
+        # a budget too small to finish reads info 3, which the start rejects
+        assert nnls(E, f, 1)[2] == 3
+
+    def test_hard_margin_support_is_the_warm_start_support(self, monkeypatch):
+        # the LDP multipliers' support is the active set of the polished iris start
+        cache = build_design(iris_train(77, 0))
+        start = warm_start_point(cache, alpha=1e-6, lam=100.0)
+        assert isinstance(start, tuple) and len(start) == 2 and start.route == "ldp"
+        calls = []
+        real = qs_baseline._active_set_polish
+
+        def spy(act, *args, **kwargs):
+            calls.append(np.array(act))
+            return real(act, *args, **kwargs)
+
+        monkeypatch.setattr(qs_baseline, "_active_set_polish", spy)
+        again = warm_start_point(build_design(iris_train(77, 0)), alpha=1e-6, lam=100.0)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.flatnonzero(start[1]))
+        np.testing.assert_array_equal(again[0].to_vector(), start[0].to_vector())
+        assert margins(start[0], cache).max() <= 1e-10
+
+    def test_scipy_optimize_is_not_imported(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import quadsurf\n"
+            "from quadsurf import (Normalize, SolverConfig, apply_normalizer, fit_normalizer,\n"
+            "                      load_csv, solve, split)\n"
+            "data = load_csv(sys.argv[1], class_pair=(1, 2))\n"
+            "train, _ = split(data, 0.8, np.random.SeedSequence(entropy=77, spawn_key=(0,)))\n"
+            "train = apply_normalizer(train, *fit_normalizer(train.points, Normalize.ZSCORE))\n"
+            "rep = solve(train, SolverConfig(lam=100.0))\n"
+            "print(rep.warm_start_route, 'scipy.optimize' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH", "")])))
+        proc = subprocess.run([sys.executable, "-c", code, str(IRIS_CSV)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ldp", "False"]
+
+    def test_missing_module_runs_the_continuation(self, monkeypatch, tmp_path):
+        # with no extension file to load, every warm start is today's continuation,
+        # and on these iris trials it is the hard-margin start bit for bit
+        trials = [iris_train(77, t) for t in range(16)]
+        starts = [warm_start_point(build_design(d), alpha=1e-6, lam=100.0) for d in trials]
+        assert [s.route for s in starts] == ["ldp"] * 16
+        assert qs_baseline._load_nnls(tmp_path) is None
+        monkeypatch.setattr(qs_baseline, "_nnls", lambda: qs_baseline._load_nnls(tmp_path))
+        for data, ldp in zip(trials, starts):
+            theta0, z0 = cont = warm_start_point(build_design(data), alpha=1e-6, lam=100.0)
+            assert cont.route == "continuation"
+            expect_th, expect_z = reference_warm_start(data, 100.0, 1e-6, mu0=1e4)
+            np.testing.assert_array_equal(theta0.to_vector(), expect_th)
+            np.testing.assert_array_equal(z0, expect_z)
+            np.testing.assert_array_equal(theta0.to_vector(), ldp[0].to_vector())
+            np.testing.assert_array_equal(z0, ldp[1])
+
+    def test_size_gate(self, monkeypatch):
+        tried = []
+        real = qs_baseline._ldp_start
+
+        def spy(cache, *args):
+            tried.append(cache.n)
+            return real(cache, *args)
+
+        monkeypatch.setattr(qs_baseline, "_ldp_start", spy)
+        for npc, route in ((128, "ldp"), (129, "continuation")):
+            cache = build_design(generate(GenSpec(kind="circular", n_per_class=npc, seed=0)))
+            assert warm_start_point(cache, alpha=1e-6, lam=100.0).route == route
+            warm_start_point(cache, alpha=1e-6, lam=100.0, polish=False)
+        assert tried == [qs_baseline._LDP_MAX_N]
+
+    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize("outcome", ["info", "no_pair", "violated"])
+    def test_rejected_start_falls_back_silently(self, monkeypatch, outcome):
+        # an NNLS that stops on its budget; a support the polish finds no consistent
+        # set from (seed 0); a polished point that prices out margins, since at
+        # lam 0.1 the band is narrow and hard-margin multipliers pass its cap
+        # (seed 1): each time the continuation runs, and nothing warns
+        seed = 1 if outcome == "violated" else 0
+        cache = build_design(generate(GenSpec(kind="circular", n_per_class=50, seed=seed)))
+        tau = np.sqrt(2.0 * 1e-6 * 0.1)
+        polished = []
+        real_nnls, real_polish = qs_baseline._nnls(), qs_baseline._active_set_polish
+
+        def nnls(E, f, maxiter):
+            u, rnorm, info = real_nnls(E, f, maxiter)
+            return u, rnorm, 3 if outcome == "info" else info
+
+        def polish(*args, **kwargs):
+            polished.append(real_polish(*args, **kwargs))
+            return polished[-1]
+
+        monkeypatch.setattr(qs_baseline, "_nnls", lambda: nnls)
+        monkeypatch.setattr(qs_baseline, "_active_set_polish", polish)
+        start = warm_start_point(cache, alpha=1e-6, lam=0.1)
+        assert start.route == "continuation"
+        if outcome == "info":
+            assert len(polished) == 1  # the continuation's polish only
+        else:
+            first = polished[0]
+            assert (first is None) == (outcome == "no_pair")
+            if first is not None:
+                assert margins(first[0], cache).max() >= tau
+        monkeypatch.setattr(qs_baseline, "_nnls", lambda: None)
+        expect = warm_start_point(cache, alpha=1e-6, lam=0.1)
+        np.testing.assert_array_equal(start[0].to_vector(), expect[0].to_vector())
+        np.testing.assert_array_equal(start[1], expect[1])
+
+    def test_degenerate_designs_warn_as_the_continuation_does(self, monkeypatch):
+        # every hard-margin attempt on the 60 degenerate designs is rejected, 33 on a
+        # flagged saddle solve, without a warning: the fits and their warnings are
+        # the continuation's
+        cfg = SolverConfig(lam=100.0)
+        reps, n_warn = linalg_warnings(lambda: [solve(d, cfg) for d in degenerate_designs()])
+        monkeypatch.setattr(qs_baseline, "_nnls", lambda: None)
+        expect, n_expect = linalg_warnings(lambda: [solve(d, cfg)
+                                                    for d in degenerate_designs()])
+        assert n_warn == n_expect == 61
+        for rep, exp in zip(reps, expect):
+            assert rep.warm_start_route == exp.warm_start_route == "continuation"
+            assert rep.status is exp.status and rep.final.iter == exp.final.iter
+            np.testing.assert_array_equal(rep.final.theta.to_vector(),
+                                          exp.final.theta.to_vector())
 
 
 class TestCompare:

@@ -42,7 +42,9 @@ class TestFit:
         assert rep["regular"] is True
         assert rep["certificate"]["passed"] is True
         assert len(rep["theta"]["wtri"]) == 3
-        assert "train_acc=100.00% certified=True regular=True" in capsys.readouterr().out
+        assert rep["warm_start_route"] == "ldp"
+        assert ("train_acc=100.00% certified=True regular=True warm_start=ldp"
+                in capsys.readouterr().out)
 
     def test_record_on_stdout_parses_as_json(self, circ_csv):
         # `--out /dev/stdout` into a pipe: the status line moves to stderr
@@ -94,9 +96,13 @@ class TestFit:
         assert rep["regular"] is False
         # the record is SolveReport.to_dict() alone, with no key added by the CLI
         assert set(rep) == {"status", "regular", "iters", "residual_trace", "gamma_trace",
-                            "working_sizes", "certificate", "config", "theta", "phase_s",
-                            "wall_time_s"}
-        assert "error" not in capsys.readouterr().err
+                            "working_sizes", "certificate", "config", "warm_start_route",
+                            "theta", "phase_s", "wall_time_s"}
+        # 600 samples: past the hard-margin start's size gate
+        assert rep["warm_start_route"] == "continuation"
+        captured = capsys.readouterr()
+        assert "warm_start=continuation" in captured.out
+        assert "error" not in captured.err
 
     def test_converged_but_uncertified_exit_three(self, circ_csv, monkeypatch, capsys):
         real_solve = qs_newton.solve

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,14 @@ class TestGenerate:
         assert radii.max() < 1.0
         ann = np.linalg.norm(data.points[data.labels == -1], axis=1)
         assert ann.min() >= 1.4 and ann.max() <= 2.5
+
+    def test_noisy_circular_draw_keeps_its_bytes(self):
+        # the circular builder fills and rescales one buffer in place: a noisy draw
+        # of 16384 samples keeps the bytes it had when each step made a new array
+        data = generate(GenSpec(kind="circular", n_per_class=8192, seed=7, noise=0.3))
+        assert data.points.flags.c_contiguous
+        assert hashlib.sha256(data.points.tobytes()).hexdigest() == (
+            "75cf6ec62dde45ccaad627177533bb507d5737e3f3d2fe9e92627f9b2102fc31")
 
     def test_deterministic(self):
         spec = GenSpec(kind="linear", n_per_class=50, seed=7)

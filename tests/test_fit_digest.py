@@ -5,8 +5,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_digest(*args):
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "fit_digest.py"), *args],
+# Runs the tool with scipy's compiled NNLS made unloadable, so that every warm start
+# runs the squared-hinge continuation.
+CONTINUATION_ONLY = ("import runpy, sys; tool = runpy.run_path(sys.argv[1]); "
+                     "tool['qs_baseline']._nnls = lambda: None; tool['main'](sys.argv[2:])")
+
+
+def run_digest(*args, continuation_only=False):
+    tool = str(ROOT / "tools" / "fit_digest.py")
+    prefix = ["-c", CONTINUATION_ONLY] if continuation_only else []
+    proc = subprocess.run([sys.executable, *prefix, tool, *args],
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return dict(line.split(maxsplit=1) for line in proc.stdout.splitlines())
@@ -17,7 +25,7 @@ def test_same_digest_twice():
     second = run_digest("--seeds", "77", "9000", "--trials", "2")
     assert first == second
     assert set(first) == {"digest", "linalg_warnings", "accuracy_pct", "regular_fits",
-                          "warm_start_solves", "warm_start_evals", "noisy_digest",
+                          "warm_start_solves", "warm_start_evals", "ldp_starts", "noisy_digest",
                           "degenerate_digest", "degenerate_warnings", "degenerate_statuses",
                           "degenerate_reversed_statuses", "endpoint_mismatches"}
     assert len(first["digest"]) == len(first["noisy_digest"]) == 64
@@ -27,10 +35,20 @@ def test_same_digest_twice():
     assert int(first["degenerate_warnings"]) >= 0
     # the in-`solve` certificate and `regular` read as a fresh evaluation of the endpoint
     assert first["endpoint_mismatches"] == "0"
+    # every iris warm start is the hard-margin one: one NNLS, then one polish solve
+    assert first["ldp_starts"] == "4"
+    assert float(first["warm_start_solves"]) == 1.0
+    assert float(first["warm_start_evals"]) == 0.0
+    # without the NNLS every warm start runs the continuation, and every fit is the same
+    continuation = run_digest("--seeds", "77", "9000", "--trials", "2", continuation_only=True)
+    assert continuation["ldp_starts"] == "0"
+    counts = ("warm_start_solves", "warm_start_evals", "ldp_starts")
+    assert {k: v for k, v in continuation.items() if k not in counts} == \
+        {k: v for k, v in first.items() if k not in counts}
     # the LS solve and at least one hinge pass per stage
-    assert float(first["warm_start_solves"]) >= 3.0
+    assert float(continuation["warm_start_solves"]) >= 3.0
     # the start value of each stage and at least one trial of its first pass
-    assert float(first["warm_start_evals"]) >= 4.0
+    assert float(continuation["warm_start_evals"]) >= 4.0
     for key in ("degenerate_statuses", "degenerate_reversed_statuses"):
         statuses = dict(item.split("=") for item in first[key].split())
         assert list(statuses) == sorted(statuses)

@@ -277,9 +277,10 @@ class TestSolve:
         d = rep.to_dict()
         assert d["status"] == "converged"
         assert set(d) == {"status", "regular", "iters", "residual_trace",
-                          "gamma_trace", "working_sizes", "certificate", "config", "theta",
-                          "phase_s", "wall_time_s"}
+                          "gamma_trace", "working_sizes", "certificate", "config",
+                          "warm_start_route", "theta", "phase_s", "wall_time_s"}
         assert d["regular"] is True
+        assert d["warm_start_route"] == rep.warm_start_route == "ldp"
         assert rep.config is cfg and SolverConfig(**d["config"]) == cfg
         assert len(d["theta"]["wtri"]) == 3
         rep.to_json()
@@ -295,6 +296,7 @@ class TestSolve:
         # a given start skips the warm start
         started = solve(circ_data, cfg, start=(rep.final.theta, rep.final.z))
         assert started.phase_s["warm_start"] == 0.0
+        assert started.warm_start_route == "given"
         assert all(t >= 0.0 for t in started.phase_s.values())
         assert sum(started.phase_s.values()) <= started.wall_time
 
@@ -341,9 +343,10 @@ class TestStart:
         with pytest.raises(ValueError, match="z0 has shape"):
             solve(circ_data, cfg, start=(theta0, z0[:-1]))
 
+    @pytest.mark.usefixtures("continuation_only")
     def test_one_margin_evaluation_per_pass(self, monkeypatch):
         # each pass reads the margins of its iterate once; the certificate reuses the
-        # last pass's
+        # last pass's (from the continuation's start this fit takes two steps)
         calls = []
         orig = qs_model.margins
 
@@ -528,6 +531,7 @@ class TestSolveFailures:
         np.testing.assert_array_equal(rep.final.theta.to_vector(), 0.0)
         np.testing.assert_array_equal(rep.final.z, 0.0)
         assert rep.to_dict()["status"] == "singular_system"
+        assert rep.warm_start_route == "continuation"
 
 
 class TestRateProbe:

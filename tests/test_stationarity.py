@@ -573,8 +573,8 @@ class TestSolveSymmetric:
 
 
 def test_one_route_for_symmetric_solves():
-    """Every linear solve in the library goes through solve_symmetric, the only
-    caller of LAPACK, and no caller silences the warnings of a solve."""
+    """Every linear solve in the library goes through solve_symmetric, every LAPACK
+    call sits in stationarity.py, and no caller silences the warnings of a solve."""
     src = Path(__file__).resolve().parent.parent / "src" / "quadsurf"
     # (pattern, the one file allowed to match it)
     rules = [(re.compile(r"(scipy\.linalg|np\.linalg)\.solve\("), None),

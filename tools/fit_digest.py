@@ -10,7 +10,7 @@ also fits six noisy circular draws (600 per class, noise 0.3, seeds
 100-105, lam = 100), which take Newton steps, and 60 degenerate designs,
 whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
 0-19, lam = 100) made collinear (x2 = 2 x1), given a duplicated feature
-(x, y, y) or a constant one (x, y, 1).  It prints twelve lines:
+(x, y, y) or a constant one (x, y, 1).  It prints thirteen lines:
 
     digest             sha256 over theta, z, status, iterations and the
                        certificate JSON of every Newton fit, the LS fit's
@@ -25,6 +25,9 @@ whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
     warm_start_evals   mean squared-hinge objective evaluations
                        (`_hinge_sq_objective` calls) per iris Newton fit; it
                        enters no digest
+    ldp_starts         iris Newton fits whose warm start is the hard-margin
+                       (LDP) start, `SolveReport.warm_start_route`; the others
+                       ran the squared-hinge continuation.  It enters no digest
     noisy_digest       sha256 over theta, z, status, iterations and the
                        certificate JSON of the noisy circular fits
     degenerate_digest  the same over the degenerate fits, with each
@@ -127,12 +130,12 @@ def _counted_warm_start_calls():
 
 def fit_digest(seeds, trials: int):
     """(sha256 hex digest, LinAlgWarning count, mean Newton accuracy in %, regular fits,
-    mean warm-start solves per fit, mean hinge objective evaluations per fit, endpoint
-    mismatches)."""
+    mean warm-start solves per fit, mean hinge objective evaluations per fit, hard-margin
+    starts, endpoint mismatches)."""
     data = load_csv(IRIS_CSV, class_pair=(1, 2))
     h = hashlib.sha256()
     accs = []
-    n_regular = n_mismatch = 0
+    n_regular = n_ldp = n_mismatch = 0
     n_calls = Counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LinAlgWarning)
@@ -149,6 +152,7 @@ def fit_digest(seeds, trials: int):
                 n_calls += calls
                 _update_with_fit(h, report)
                 n_regular += report.regular
+                n_ldp += report.warm_start_route == "ldp"
                 n_mismatch += _endpoint_mismatch(report, train)
                 labels = predict_many(report.final.theta, test.points)
                 h.update(labels.tobytes())
@@ -162,7 +166,7 @@ def fit_digest(seeds, trials: int):
     acc = float(np.mean(accs)) if accs else float("nan")
     fits = len(seeds) * trials
     return (h.hexdigest(), _linalg_warnings(caught), acc, n_regular, n_calls["solves"] / fits,
-            n_calls["evals"] / fits, n_mismatch)
+            n_calls["evals"] / fits, n_ldp, n_mismatch)
 
 
 def noisy_digest():
@@ -223,8 +227,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.trials < 1:
         ap.error("--trials must be >= 1")
-    digest, n_warn, acc, n_regular, solves, evals, iris_mismatch = fit_digest(args.seeds,
-                                                                             args.trials)
+    digest, n_warn, acc, n_regular, solves, evals, n_ldp, iris_mismatch = fit_digest(
+        args.seeds, args.trials)
     noisy, noisy_mismatch = noisy_digest()
     degenerate, n_degenerate_warn, statuses, degenerate_mismatch = degenerate_digest()
     print(f"digest               {digest}")
@@ -233,6 +237,7 @@ def main(argv=None):
     print(f"regular_fits         {n_regular}")
     print(f"warm_start_solves    {solves:.3f}")
     print(f"warm_start_evals     {evals:.3f}")
+    print(f"ldp_starts           {n_ldp}")
     print(f"noisy_digest         {noisy}")
     print(f"degenerate_digest    {degenerate}")
     print(f"degenerate_warnings  {n_degenerate_warn}")
