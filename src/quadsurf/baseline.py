@@ -1,10 +1,11 @@
-"""Closed-form least-squares quadratic surface fit and the Newton warm start built on it.
+"""Closed-form least-squares quadratic surface fit and the Newton solver's warm start.
 
-Minimizes ``sum_i ||W x_i + b||^2 + (C/2) sum_i (h(x_i) - y_i)^2 + 1e-10 ||theta||^2``,
+`ls_qssvm_fit` minimizes
+``sum_i ||W x_i + b||^2 + (C/2) sum_i (h(x_i) - y_i)^2 + 1e-10 ||theta||^2``,
 the equality-constrained least-squares surface model with its residual
 variables eliminated.  The objective is an unconstrained convex quadratic,
 so the fit is a single symmetric positive-definite solve.  `warm_start_point`
-refines that fit into the starting pair (theta0, z0) of the Newton solver.
+finds the starting pair (theta0, z0) of the Newton solver.
 
 On designs of up to _LDP_MAX_N samples the warm start first tries the
 hard-margin surface (Dagher's quadratic surface SVM, J. Global Optim. 41,
@@ -24,22 +25,18 @@ penalty 1e6, once violations fit in a quarter of the working band, left
 violations near 1e-3 and a band set that had not settled, and the Newton
 iteration from that start ended at a constant surface or failed on 5 of
 600 clean draws and 41 of the predict-row set-up draws of seeds 1-1200.
-The first stage starts on the ray of the least-squares point, at the minimizer
-of its own objective along that ray (found once by sorting the ray's
-breakpoints): on iris it begins with about as many violated margins as
-it ends with (8 and 11 of 80), where the least-squares point violates 63.
-The least-squares point is the first Newton pass from theta = 0 with every
-margin active, at penalty C/2, so only its direction survives the scaling.
-Its weight is C = 10: that direction lies nearer the 1e4 stage's minimizer
-than C = 100's does, and the stage takes about a fifth fewer passes on
-iris (the optimum is broad, C from 5 to 10) while the active set it hands
-the polish, and so every iris warm start, is the same.
+The first stage starts at theta = 0, where every margin is 1 and so active:
+its first full Newton step is the least-squares point of weight C = 2 mu.
+Each stage objective is strictly convex on a design of full rank, so the
+start moves the path, not the endpoint: a start on the ray of the C = 10
+least-squares point, scaled to the first stage's minimizer, gave the same
+active set on the 256 iris fits of tools/fit_digest.py and noisy Newton
+endpoints within 1e-13 relative.
 Newton passes accept a step against the largest of the last three
 accepted objective values (nonmonotone Armijo), so a full step that
-overshoots while the active set settles is taken instead of backtracked.
-On a design of full rank each stage objective is strictly convex, so
-neither rule moves the minimizer a stage ends on, only the passes it
-takes to get there.
+overshoots while the active set settles is taken instead of backtracked;
+like the start, that rule moves the passes a stage takes, not the
+minimizer it ends on.
 
 Each solve judges what `solve_symmetric` returns: x is None when LAPACK
 refuses the factorisation, and an rcond below machine epsilon flags x.
@@ -78,9 +75,6 @@ _HINGE_RIDGE = 1e-9
 # Penalties of the squared-hinge continuation's two stages, run in full (see the
 # module docstring).
 _HINGE_PENALTIES = (1e4, 1e8)
-# Weight C of the least-squares fit whose ray the first stage starts on (see the
-# module docstring).
-_LS_START_C = 10.0
 # Accepted objective values the nonmonotone Armijo test compares a trial against.
 _HINGE_MEMORY = 3
 # Largest design the hard-margin (LDP) start is tried on (see `warm_start_point`).
@@ -133,35 +127,6 @@ def _hinge_sq_objective(th, F, Gth, mu):
     """Squared-hinge objective at th from its margins F = 1 + A th and G th."""
     Fp = np.maximum(F, 0.0)
     return 0.5 * th @ Gth + 0.5 * mu * (Fp @ Fp)
-
-
-def _ray_scale(q, yh, mu):
-    """argmin over s > 0 of 0.5 s^2 q + (mu/2) sum_i max(1 - s yh_i, 0)^2, or 1.0.
-
-    The squared-hinge objective on the ray s theta, with q = theta'G theta and
-    yh_i = y_i h(x_i) at theta.  Its derivative s q - mu sum_i yh_i max(1 -
-    s yh_i, 0) is continuous and nondecreasing.  The positive yh_i, sorted
-    ascending as u_0 <= u_1 <= ..., split s > 0 into pieces: on the piece
-    ending at 1/u_j the violated margins are u_0..u_j and every yh_i <= 0, so
-    the derivative there is s (q + mu S2_j) - mu S1_j, with S1_j and S2_j
-    their sum and sum of squares.  The minimizer is the root on the leftmost
-    piece whose right end has a nonnegative derivative; the piece ending at
-    1/u_0 always has one.  When the derivative at 0 is not negative
-    (sum_i yh_i <= 0) there is no positive minimizer and the ray is not
-    scaled.
-    """
-    pos = yh > 0.0
-    u = yh[pos]
-    u.sort()
-    rest = yh[~pos]
-    num = mu * (u.cumsum() + rest.sum())
-    if not (u.size and num[-1] > 0.0):
-        return 1.0
-    den = q + mu * ((u * u).cumsum() + rest @ rest)
-    ok = den >= num * u  # derivative at 1/u_j nonnegative, scaled by u_j > 0
-    ok[0] = True
-    j = ok.nonzero()[0][-1]
-    return float(num[j] / den[j])
 
 
 def _hinge_sq_minimize(th, F, Gth, A, G, mu, passes=80):
@@ -307,12 +272,10 @@ def warm_start_point(cache: DesignCache, *, alpha: float, lam: float,
     loaded, the continuation runs as if it had not been tried, and the
     attempt leaves no warning.
 
-    Continuation: least-squares surface fit (C = 10), scaled along its ray to the
-    minimizer of the first stage's objective (`_ray_scale`; unscaled when that
-    has no positive minimizer), then a squared-hinge continuation of two
-    stages, at the penalties 1e4 and 1e8, with no early stop.  The second
-    stage starts from the point, margins F and product G theta on which the
-    first ended; both take exact Newton steps (see `_hinge_sq_minimize`).
+    Continuation: two squared-hinge stages, at the penalties 1e4 and 1e8,
+    with no early stop, the first from theta = 0 and the second from the
+    point, margins F and product G theta the first ended on; both take exact
+    Newton steps (see `_hinge_sq_minimize`).
     When `polish` is set, the active set the 1e8 stage identified (its
     margins in the working band (0, sqrt(2*alpha*lam)), one of each twin
     row) is refined to an exact stationary pair by saddle solves.  When the
@@ -328,10 +291,7 @@ def warm_start_point(cache: DesignCache, *, alpha: float, lam: float,
             return WarmStart(*start, "ldp")
 
     A, G = cache.a, cache.G
-    th = _lsq_solve(cache, _LS_START_C)
-    th = _ray_scale(th @ G @ th, -(A @ th), _HINGE_PENALTIES[0]) * th  # y_i h(x_i) = -a_i . th
-    F = 1.0 + A @ th
-    Gth = G @ th
+    th, F, Gth = np.zeros(cache.d), np.ones(cache.n), np.zeros(cache.d)
 
     for mu in _HINGE_PENALTIES:
         th, F, Gth = _hinge_sq_minimize(th, F, Gth, A, G, mu)

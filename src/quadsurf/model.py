@@ -12,10 +12,10 @@ quadratic with constant Hessian ``G``.
 ``W x_i = M_i @ wtri`` for a sparse per-sample map ``M_i`` (m, p), so
 ``G = sum_i J_i' J_i`` with ``J_i = [M_i, I_m, 0]``.  Every ``M_i`` has the
 same pattern, so ``build_design`` assembles G from ``X'X`` and the column
-sums of X by fixed scatters, without forming the maps.  The stack of maps
-itself is built only when `DesignCache.M` is first read: `smooth_value`
-(and so `total_loss`) reads it, as may a caller that inspects a design,
-but no fit does.
+sums of X by fixed scatters, without forming the maps, and `smooth_value`
+reads f as 0.5 theta'G theta.  The stack of maps itself is built only when
+`DesignCache.M` is first read, which no library function does; it is there
+for a caller that inspects a design.
 """
 
 import math
@@ -258,8 +258,7 @@ class DesignCache:
     a : (n, d)  row i is the gradient of F_i, namely -y_i * (s(x_i); x_i; 1)
     G : (d, d)  constant Hessian of the smooth part; the c row/column is zero
     M : (n, m, p)  per-sample maps wtri -> W x_i, built from `a` on first
-        read and kept; in the library only `smooth_value` reads it, so no fit
-        builds it
+        read and kept; no library function reads it
 
     The warm start's polish also leaves on the design the regularity verdict
     of the saddle system it last factored (see `stationarity.regular`).
@@ -330,10 +329,9 @@ def margins(theta: SurfaceParams, cache: DesignCache) -> np.ndarray:
 
 
 def smooth_value(theta: SurfaceParams, cache: DesignCache) -> float:
-    """f(theta) = sum_i 0.5 ||W x_i + b||^2, evaluated through the cached maps."""
-    _check_theta(theta, cache)
-    r = cache.M @ theta.wtri + theta.b  # (n, m)
-    return float(0.5 * np.sum(r * r))
+    """f(theta) = sum_i 0.5 ||W x_i + b||^2, evaluated as 0.5 theta'G theta."""
+    v = _check_theta(theta, cache)
+    return float(0.5 * (v @ (cache.G @ v)))
 
 
 def smooth_gradient(theta: SurfaceParams, cache: DesignCache) -> np.ndarray:

@@ -16,7 +16,7 @@ from quadsurf import (BenchProtocol, Dataset, GenSpec, ProxParams, SolveStatus,
                       generate, load_csv, margins, prox_vector,
                       pstationary_check, rate_probe, residual, run_bench, smooth_gradient,
                       smooth_value, solve)
-from quadsurf.baseline import _hinge_sq_minimize, _lsq_solve, _ray_scale
+from quadsurf.baseline import _hinge_sq_minimize
 from quadsurf.stationarity import saddle_matrix
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -52,15 +52,12 @@ def default_runs():
 def moderate_start(cache):
     """(theta0, z0) of the squared-hinge continuation stopped after its RATE_MU stage.
 
-    The least-squares point scaled along its ray, hinge stages at 1e4 and
-    RATE_MU, and the penalty duals RATE_MU * max(F, 0), zeroed where they
-    would land outside the working band, as `warm_start_point` hands them
-    over when it does not polish.
+    Hinge stages at 1e4 and RATE_MU from theta = 0, and the penalty duals
+    RATE_MU * max(F, 0), zeroed where they would land outside the working
+    band, as `warm_start_point` hands them over when it does not polish.
     """
     A, G = cache.a, cache.G
-    th = _lsq_solve(cache, 100.0)
-    th = _ray_scale(th @ G @ th, -(A @ th), 1e4) * th
-    F, Gth = 1.0 + A @ th, G @ th
+    th, F, Gth = np.zeros(cache.d), np.ones(cache.n), np.zeros(cache.d)
     for mu in (1e4, RATE_MU):
         th, F, Gth = _hinge_sq_minimize(th, F, Gth, A, G, mu)
     tau = ProxParams(alpha=RATE_CONFIG.alpha, lam=RATE_CONFIG.lam).threshold

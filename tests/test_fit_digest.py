@@ -26,6 +26,7 @@ def test_same_digest_twice():
     assert first == second
     assert set(first) == {"digest", "linalg_warnings", "accuracy_pct", "regular_fits",
                           "warm_start_solves", "warm_start_evals", "ldp_starts", "noisy_digest",
+                          "noisy_warm_start_solves", "noisy_warm_start_evals",
                           "degenerate_digest", "degenerate_warnings", "degenerate_statuses",
                           "degenerate_reversed_statuses", "endpoint_mismatches"}
     assert len(first["digest"]) == len(first["noisy_digest"]) == 64
@@ -45,10 +46,16 @@ def test_same_digest_twice():
     counts = ("warm_start_solves", "warm_start_evals", "ldp_starts")
     assert {k: v for k, v in continuation.items() if k not in counts} == \
         {k: v for k, v in first.items() if k not in counts}
-    # the LS solve and at least one hinge pass per stage
+    # at least one hinge pass per stage, and more than one in the first, whose
+    # first step from theta = 0 is the least-squares point
     assert float(continuation["warm_start_solves"]) >= 3.0
     # the start value of each stage and at least one trial of its first pass
     assert float(continuation["warm_start_evals"]) >= 4.0
+    # the noisy designs are too large for the hard-margin start: the continuation
+    # runs on every noisy fit, NNLS or not
+    for out in (first, continuation):
+        assert float(out["noisy_warm_start_solves"]) >= 2.0
+        assert float(out["noisy_warm_start_evals"]) >= 4.0
     for key in ("degenerate_statuses", "degenerate_reversed_statuses"):
         statuses = dict(item.split("=") for item in first[key].split())
         assert list(statuses) == sorted(statuses)

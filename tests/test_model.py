@@ -147,6 +147,7 @@ class TestBuildDesign:
         report = solve(train, SolverConfig(lam=100.0))
         assert report.status is SolveStatus.CONVERGED and report.certificate.passed
         ls_qssvm_fit(train)
+        total_loss(report.final.theta, caches[0], lam=100.0)
         assert len(caches) == 2
         for cache in caches:
             assert cache.m == train.m
@@ -232,6 +233,9 @@ class TestSmoothPart:
         quad = 0.5 * v @ small_cache.G @ v
         val = smooth_value(theta, small_cache)
         assert abs(val - quad) <= 1e-10 * max(1.0, abs(val))
+        # and sum_i 0.5 ||W x_i + b||^2 through the per-sample maps
+        r = small_cache.M @ theta.wtri + theta.b
+        assert abs(val - 0.5 * np.sum(r * r)) <= 1e-10 * max(1.0, abs(val))
 
 
 class TestTotalLoss:

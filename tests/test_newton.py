@@ -519,9 +519,10 @@ class TestSolveFailures:
 
     @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
     def test_failed_warm_start_reports_singular_system(self):
-        # features scaled by 1e6 put G's entries near 1e24: the warm start's
-        # least-squares normal matrix comes out flagged (rcond near 3e-32), its
-        # 1e-8 retry too, so the fit fails before any squared-hinge pass
+        # features scaled by 1e6 put G's entries near 1e24: the hard-margin start's
+        # saddle solve is flagged and rejected, then the first squared-hinge pass's
+        # Newton matrix comes out flagged (rcond near 3e-32), its ridged retry too,
+        # so the fit fails before any Newton step
         iris = load_csv(Path(__file__).resolve().parent.parent / "data" / "iris.csv",
                         class_pair=(1, 2))
         rep = solve(Dataset(iris.points * 1e6, iris.labels), SolverConfig(lam=100.0))

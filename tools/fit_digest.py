@@ -10,7 +10,7 @@ also fits six noisy circular draws (600 per class, noise 0.3, seeds
 100-105, lam = 100), which take Newton steps, and 60 degenerate designs,
 whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
 0-19, lam = 100) made collinear (x2 = 2 x1), given a duplicated feature
-(x, y, y) or a constant one (x, y, 1).  It prints thirteen lines:
+(x, y, y) or a constant one (x, y, 1).  It prints fifteen lines:
 
     digest             sha256 over theta, z, status, iterations and the
                        certificate JSON of every Newton fit, the LS fit's
@@ -30,6 +30,10 @@ whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
                        ran the squared-hinge continuation.  It enters no digest
     noisy_digest       sha256 over theta, z, status, iterations and the
                        certificate JSON of the noisy circular fits
+    noisy_warm_start_solves  `warm_start_solves` over the noisy fits, whose
+                       designs are too large for the hard-margin start, so
+                       it counts the squared-hinge continuation's solves
+    noisy_warm_start_evals   `warm_start_evals` over the noisy fits
     degenerate_digest  the same over the degenerate fits, with each
                        design's LS fit theta
     degenerate_warnings  LinAlgWarnings raised by the degenerate fits
@@ -170,15 +174,19 @@ def fit_digest(seeds, trials: int):
 
 
 def noisy_digest():
-    """(sha256 hex digest, endpoint mismatches) over the Newton fits of the NOISY draws."""
+    """(sha256 hex digest, endpoint mismatches, mean warm-start solves per fit, mean
+    hinge objective evaluations per fit) over the Newton fits of the NOISY draws."""
     h = hashlib.sha256()
     n_mismatch = 0
+    n_calls = Counter()
     for spec in NOISY:
         data = generate(spec)
-        report = solve(data, SOLVER)
+        with _counted_warm_start_calls() as calls:
+            report = solve(data, SOLVER)
+        n_calls += calls
         _update_with_fit(h, report)
         n_mismatch += _endpoint_mismatch(report, data)
-    return h.hexdigest(), n_mismatch
+    return h.hexdigest(), n_mismatch, n_calls["solves"] / len(NOISY), n_calls["evals"] / len(NOISY)
 
 
 def degenerate_designs():
@@ -229,7 +237,7 @@ def main(argv=None):
         ap.error("--trials must be >= 1")
     digest, n_warn, acc, n_regular, solves, evals, n_ldp, iris_mismatch = fit_digest(
         args.seeds, args.trials)
-    noisy, noisy_mismatch = noisy_digest()
+    noisy, noisy_mismatch, noisy_solves, noisy_evals = noisy_digest()
     degenerate, n_degenerate_warn, statuses, degenerate_mismatch = degenerate_digest()
     print(f"digest               {digest}")
     print(f"linalg_warnings      {n_warn}")
@@ -239,6 +247,8 @@ def main(argv=None):
     print(f"warm_start_evals     {evals:.3f}")
     print(f"ldp_starts           {n_ldp}")
     print(f"noisy_digest         {noisy}")
+    print(f"noisy_warm_start_solves  {noisy_solves:.3f}")
+    print(f"noisy_warm_start_evals   {noisy_evals:.3f}")
     print(f"degenerate_digest    {degenerate}")
     print(f"degenerate_warnings  {n_degenerate_warn}")
     print(f"degenerate_statuses  {_status_line(statuses)}")
