@@ -49,8 +49,8 @@ are all singular) ended as singular systems.  A second shift, 1e-14
 (1 + mu) I on every exact attempt, changed no iris fit and no status or
 step count of 1200 predict-row set-up fits and 288 noisy circular fits
 (theta by at most 6.3e-13 relative on those checked), so there is none.
-The polish gives up on a refused or non-finite saddle solve and warns
-(LinAlgWarning) on a flagged one.
+The polish gives up on a refused or non-finite saddle solve and reports
+whether LAPACK flagged its last one; it never warns, its callers decide.
 """
 
 import functools
@@ -81,17 +81,6 @@ _HINGE_MEMORY = 3
 _LDP_MAX_N = 256
 
 
-def _lsq_system(cache: DesignCache, c_penalty: float):
-    if not c_penalty > 0:
-        raise ValueError(f"c_penalty must be positive, got {c_penalty}")
-    # h(x_i) = -y_i a_i . theta, so (h(x_i) - y_i)^2 = (a_i . theta + 1)^2: the
-    # normal equations need only the rows a_i, with A'A and right-hand side -A'1
-    A = cache.a
-    H = 2.0 * cache.G + c_penalty * (A.T @ A) + 2.0 * RIDGE * np.eye(cache.d)
-    rhs = c_penalty * (A.T @ -np.ones(cache.n))
-    return H, rhs
-
-
 def _shifted_solve(H, rhs, ridge: float) -> np.ndarray:
     """Cholesky solution of H x = rhs or, when LAPACK refuses or flags it, of
     (H + ridge I) x = rhs; LinAlgError when LAPACK refuses or flags both."""
@@ -103,19 +92,21 @@ def _shifted_solve(H, rhs, ridge: float) -> np.ndarray:
     return x
 
 
-def _lsq_solve(cache: DesignCache, c_penalty: float) -> np.ndarray:
-    """Least-squares parameter vector; a refused or flagged solve is retried with 1e-8 I."""
-    H, rhs = _lsq_system(cache, c_penalty)
-    return _shifted_solve(H, rhs, 1e-8)
-
-
 def ls_qssvm_fit(data: Dataset, c_penalty: float = 1.0) -> SurfaceParams:
     """Exact minimizer of the regularized least-squares surface objective on `data`.
 
-    `c_penalty` is the weight C > 0 of the squared label errors.
+    `c_penalty` is the weight C > 0 of the squared label errors; a refused or
+    flagged solve is retried with 1e-8 I.
     """
+    if not c_penalty > 0:
+        raise ValueError(f"c_penalty must be positive, got {c_penalty}")
     cache = build_design(data)
-    return SurfaceParams.from_vector(_lsq_solve(cache, c_penalty), cache.m)
+    # h(x_i) = -y_i a_i . theta, so (h(x_i) - y_i)^2 = (a_i . theta + 1)^2: the
+    # normal equations need only the rows a_i, with A'A and right-hand side -A'1
+    A = cache.a
+    H = 2.0 * cache.G + c_penalty * (A.T @ A) + 2.0 * RIDGE * np.eye(cache.d)
+    rhs = c_penalty * (A.T @ -np.ones(cache.n))
+    return SurfaceParams.from_vector(_shifted_solve(H, rhs, 1e-8), cache.m)
 
 
 def accuracy(theta: SurfaceParams, data: Dataset) -> float:
@@ -222,9 +213,9 @@ def _ldp_start(cache: DesignCache, tau: float, alpha: float):
     min ||E u - f|| over u >= 0 with E = [-L^-1 A'; 1'] and f = e_{d+1}
     (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23).  Its
     support u > 0 is the active set handed to the polish.  The start is
-    accepted when the NNLS ends normally, no saddle solve of the polish is
-    refused or flagged, and the polished point violates no margin: then it
-    is the hard-margin optimum, which depends only on that active set.
+    accepted when the NNLS ends normally, the polish returns a regular pair,
+    and that point violates no margin: then it is the hard-margin optimum,
+    which depends only on that active set.
     """
     nnls = _nnls()
     if nnls is None:
@@ -241,30 +232,33 @@ def _ldp_start(cache: DesignCache, tau: float, alpha: float):
     u, _, info = nnls(E, f, 3 * n)
     if info != 1:
         return None
-    polished = _active_set_polish(np.flatnonzero(u > 0.0), cache, tau, alpha,
-                                  reject_flagged=True)
-    if polished is None or np.any(1.0 + A @ polished[0].to_vector() > 1e-10):
+    polished = _active_set_polish(np.flatnonzero(u > 0.0), cache, tau, alpha)
+    if polished is None or not polished[2] or np.any(1.0 + A @ polished[0].to_vector() > 1e-10):
         return None
     return polished
 
 
 class WarmStart(tuple):
     """The pair (theta0, z0), which unpacks as a 2-tuple, with the `route` that
-    found it: "ldp" (the hard-margin start) or "continuation"."""
+    found it, "ldp" (the hard-margin start) or "continuation", and `regular`:
+    whether a polish found z0 and reported its support regular."""
 
-    def __new__(cls, theta, z, route: str):
+    def __new__(cls, theta, z, regular: bool, route: str):
         start = super().__new__(cls, (theta, z))
+        start.regular = regular
         start.route = route
         return start
 
+    def __getnewargs__(self):
+        return (*self, self.regular, self.route)
 
-def warm_start_point(cache: DesignCache, *, alpha: float, lam: float,
-                     polish: bool = True) -> WarmStart:
+
+def warm_start_point(cache: DesignCache, *, alpha: float, lam: float) -> WarmStart:
     """Initial (theta0, z0) for the Newton solver on the design `cache`.
 
-    When `polish` is set and the design has at most _LDP_MAX_N samples, the
-    hard-margin start comes first (`_ldp_start`): one compiled NNLS and one
-    polish, exact where the continuation below searches.  On noisy circular
+    When the design has at most _LDP_MAX_N samples, the hard-margin start
+    comes first (`_ldp_start`): one compiled NNLS and one polish, exact
+    where the continuation below searches.  On noisy circular
     data the polish rejects almost every hard-margin support (12 of 12
     noisy draws of 2000-3000 samples), and the NNLS costs about 0.8 us a
     sample, so larger designs go straight to the continuation.  Whenever
@@ -276,16 +270,16 @@ def warm_start_point(cache: DesignCache, *, alpha: float, lam: float,
     with no early stop, the first from theta = 0 and the second from the
     point, margins F and product G theta the first ended on; both take exact
     Newton steps (see `_hinge_sq_minimize`).
-    When `polish` is set, the active set the 1e8 stage identified (its
-    margins in the working band (0, sqrt(2*alpha*lam)), one of each twin
-    row) is refined to an exact stationary pair by saddle solves.  When the
-    polish is off or finds no consistent set, the handed-off duals are the
+    The active set the 1e8 stage identified (its margins in the working band
+    (0, sqrt(2*alpha*lam)), one of each twin row) is polished to an exact
+    stationary pair, used with one LinAlgWarning when it is not regular.
+    When the polish finds no consistent set, the handed-off duals are the
     penalty gradients 1e8 * max(F, 0), which satisfy the gradient balance
     at theta0 exactly; entries that would land outside the working band are
     zeroed since the first iteration prices them out anyway.
     """
     tau = ProxParams(alpha=alpha, lam=lam).threshold
-    if polish and cache.n <= _LDP_MAX_N:
+    if cache.n <= _LDP_MAX_N:
         start = _ldp_start(cache, tau, alpha)
         if start is not None:
             return WarmStart(*start, "ldp")
@@ -296,34 +290,36 @@ def warm_start_point(cache: DesignCache, *, alpha: float, lam: float,
     for mu in _HINGE_PENALTIES:
         th, F, Gth = _hinge_sq_minimize(th, F, Gth, A, G, mu)
 
-    if polish:
-        active0 = np.flatnonzero(prox_branches(F, tau)[1])
-        # Twin samples share a row of A and make the polish's A_act rank-deficient: keep
-        # the first (the other keeps F = 0, z = 0).  Rows are compared only when two
-        # margins agree to 1e-12 relative, as BLAS may round twins' F differently.
-        f = np.sort(F[active0])
-        if np.any(f[1:] - f[:-1] <= 1e-12 * f[1:]):
-            active0 = active0[np.sort(np.unique(A[active0], axis=0, return_index=True)[1])]
-        polished = _active_set_polish(active0, cache, tau, alpha)
-        if polished is not None:
-            return WarmStart(*polished, "continuation")
+    active0 = np.flatnonzero(prox_branches(F, tau)[1])
+    # Twin samples share a row of A and make the polish's A_act rank-deficient: keep
+    # the first (the other keeps F = 0, z = 0).  Rows are compared only when two
+    # margins agree to 1e-12 relative, as BLAS may round twins' F differently.
+    f = np.sort(F[active0])
+    if np.any(f[1:] - f[:-1] <= 1e-12 * f[1:]):
+        active0 = active0[np.sort(np.unique(A[active0], axis=0, return_index=True)[1])]
+    polished = _active_set_polish(active0, cache, tau, alpha)
+    if polished is not None:
+        if not polished[2]:
+            warnings.warn("LAPACK flagged the polished warm start's saddle solve", LinAlgWarning)
+        return WarmStart(*polished, "continuation")
 
     z0 = _HINGE_PENALTIES[-1] * np.maximum(F, 0.0)
     z0[F + alpha * z0 >= tau] = 0.0
-    return WarmStart(SurfaceParams.from_vector(th, cache.m), z0, "continuation")
+    return WarmStart(SurfaceParams.from_vector(th, cache.m), z0, False, "continuation")
 
 
-def _active_set_polish(act, cache, tau, alpha, passes=40, reject_flagged=False):
+def _active_set_polish(act, cache, tau, alpha, passes=40):
     """Exact saddle refinements on the identified active set.
 
     Solves min_th f subject to zero margins on `act`, dropping indices whose
     multiplier leaves [0, tau/alpha) and activating margins that land inside
     the collapse band (0, tau), until the pair is consistent.  Margins at or
     beyond tau stay inactive: they are priced by the count penalty, which is
-    what makes the soft (non-separable) case work.  Returns (theta0, z0) or
-    None when no consistent set is found within the pass budget.  A flagged
-    saddle solve warns and is used, or with `reject_flagged` gives None
-    silently.
+    what makes the soft (non-separable) case work.  Returns (theta0, z0,
+    regular), z0 positive exactly on the final set and `regular` whether
+    LAPACK did not flag its saddle solve: `stationarity.regular`'s verdict on
+    that set.  None when no consistent set is found within the pass budget
+    or a solve is refused or not finite.  A flagged solve is used, silently.
     """
     A, n, d = cache.a, cache.n, cache.d
     act = np.asarray(act, dtype=int)
@@ -334,13 +330,7 @@ def _active_set_polish(act, cache, tau, alpha, passes=40, reject_flagged=False):
         K = saddle_matrix(act, cache)
         rhs = np.concatenate([np.zeros(d), -np.ones(act.size)])
         sol, rcond = solve_symmetric(K, rhs)
-        if sol is None:
-            return None
-        if rcond < _EPS:
-            if reject_flagged:
-                return None
-            warnings.warn(f"ill-conditioned symmetric system (rcond={rcond:.3e})", LinAlgWarning)
-        if not np.all(np.isfinite(sol)):
+        if sol is None or not np.all(np.isfinite(sol)):
             return None
         cand, zeta = sol[:d], sol[d:]
         keep = (zeta > 0.0) & (zeta < 0.98 * cap)
@@ -358,8 +348,6 @@ def _active_set_polish(act, cache, tau, alpha, passes=40, reject_flagged=False):
             continue
         z0 = np.zeros(n)
         z0[act] = zeta
-        # the gamma = 0 saddle over the final set, factored: `regular`'s verdict on it
-        cache._saddle_verdicts[act.tobytes()] = bool(rcond >= _EPS)
-        return SurfaceParams.from_vector(cand, cache.m), z0
+        return SurfaceParams.from_vector(cand, cache.m), z0, bool(rcond >= _EPS)
     return None
 

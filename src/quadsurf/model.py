@@ -260,8 +260,7 @@ class DesignCache:
     M : (n, m, p)  per-sample maps wtri -> W x_i, built from `a` on first
         read and kept; no library function reads it
 
-    The warm start's polish also leaves on the design the regularity verdict
-    of the saddle system it last factored (see `stationarity.regular`).
+    No fit writes to the design: a solve leaves it holding `a` and `G` alone.
     """
 
     a: np.ndarray
@@ -278,12 +277,6 @@ class DesignCache:
         p, m = tri_dim(self.m), self.m
         # the labels are +-1, so the product recovers the feature rows exactly
         return _per_sample_maps(self.a[:, p:p + m] * self.a[:, -1:])
-
-    @cached_property
-    def _saddle_verdicts(self) -> dict:
-        """Regularity verdicts of saddle systems factored on this design, keyed by
-        the working set's index bytes; `stationarity.regular` reads them."""
-        return {}
 
 
 def build_design(data: Dataset) -> DesignCache:

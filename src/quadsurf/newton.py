@@ -134,7 +134,7 @@ class SolveReport:
     # Seconds in each phase of `solve`: "design", "warm_start" (0.0 when `start`
     # was given), "newton" (the loop) and "certificate" (with the regularity
     # verdict; the certificate reuses the loop's last margins and G theta, and
-    # the verdict the polish's factorization when the fit ends on its set).
+    # the verdict is the polish's when the fit ends on a regular polished start).
     # They sum to at most wall_time.
     phase_s: dict
     wall_time: float
@@ -180,10 +180,10 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
     t_design = t_warm = time.perf_counter()
 
     status = None  # set before the loop only when the warm start fails
-    route = "given"
+    route, warm = "given", None
     if start is None:
         try:
-            start = warm_start_point(cache, alpha=config.alpha, lam=config.lam)
+            start = warm = warm_start_point(cache, alpha=config.alpha, lam=config.lam)
             route = start.route
         except LinAlgError:
             start = SurfaceParams.zeros(cache.m), np.zeros(cache.n)
@@ -244,7 +244,10 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
     # res was evaluated at the final (theta, z): every exit above follows a residual
     certificate = _certify(res.F, res.G_theta, z, config.alpha, config.lam, cache,
                            tol=config.eps * 10.0)
-    is_regular = regular(res.sets.working, cache)
+    # a fit ending on a regular polished start's support keeps the polish's verdict
+    is_regular = ((warm is not None and warm.regular
+                   and np.array_equal(working, np.flatnonzero(warm[1])))
+                  or regular(working, cache))
     t_cert = time.perf_counter()
     phase_s = {"design": t_design - t0, "warm_start": t_warm - t_design,
                "newton": t_newton - t_warm, "certificate": t_cert - t_newton}

@@ -13,8 +13,7 @@ so the residual norm doubles as a computable optimality certificate.
 `pstationary_check` computes them itself, then makes the same tests.
 `regular` judges the working set itself: whether the saddle system over T
 is nonsingular, the assumption behind the Newton iteration's local
-quadratic rate.  It factors that saddle unless the warm start's polish
-already has, on the same design and set.
+quadratic rate.  It reads only its arguments.
 """
 
 import functools
@@ -286,11 +285,10 @@ def regular(working: np.ndarray, cache: DesignCache) -> bool:
     (rcond below machine epsilon).  An empty set is never regular: its
     saddle is G alone, which has no curvature in c.
 
-    When T is the final set of the warm start's polish on this design, the
-    polish has just factored this very matrix through the same dsytrf and
-    dsycon (its right-hand side differs, which neither reads), and its
-    verdict, kept on the design, is returned with no second factorization;
-    a 0-step fit that ends at the polished start pays for one saddle solve.
+    The warm start's polish factors this very matrix over its final set
+    through the same dsytrf and dsycon (its right-hand side differs, which
+    neither reads) and returns the same verdict, so `solve` calls this only
+    when the fit does not end on the support of a regular polished start.
 
     For a G built by `build_design`, a nonempty T is regular exactly when
     every nonempty subset of T is, so this one verdict also answers the
@@ -306,9 +304,6 @@ def regular(working: np.ndarray, cache: DesignCache) -> bool:
     working = np.asarray(working, dtype=int).ravel()
     if working.size > cache.d:
         return False
-    known = cache._saddle_verdicts.get(working.tobytes())
-    if known is not None:
-        return known
     K = saddle_matrix(working, cache)
     x, rcond = solve_symmetric(K, np.zeros(K.shape[0]))
     return x is not None and rcond >= _EPS

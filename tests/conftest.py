@@ -36,6 +36,13 @@ def continuation_only(monkeypatch):
 
 
 @pytest.fixture
+def no_polish(monkeypatch):
+    """The warm start's polish finds no consistent set, so the hard-margin start is
+    rejected and z0 holds the continuation's penalty duals."""
+    monkeypatch.setattr(qs_baseline, "_active_set_polish", lambda *args, **kwargs: None)
+
+
+@pytest.fixture
 def circ_data():
     return generate(GenSpec(kind="circular", n_per_class=50, seed=0))
 

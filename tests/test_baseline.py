@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -15,7 +17,7 @@ from quadsurf import (BenchProtocol, Dataset, DesignCache, GenSpec, Normalize, S
                       SolveStatus, accuracy, apply_normalizer, build_design, fit_normalizer,
                       generate, load_csv, ls_qssvm_fit, margins, run_bench,
                       smooth_gradient, solve, split, warm_start_point)
-from quadsurf.baseline import _active_set_polish, _hinge_sq_minimize, _lsq_system
+from quadsurf.baseline import WarmStart, _active_set_polish, _hinge_sq_minimize
 from quadsurf.bench import METHODS, _fit_and_score
 from quadsurf.stationarity import solve_symmetric
 
@@ -81,6 +83,15 @@ def hinge_minimize(th, cache, mu, **kwargs):
                               **kwargs)
 
 
+def normal_equations(data, c_penalty):
+    """(H, rhs) of the least-squares fit's normal equations: the Hessian 2 G + C A'A
+    + 2 RIDGE I of its objective and minus its gradient at theta = 0, -C A'1."""
+    cache = build_design(data)
+    A = cache.a
+    H = 2.0 * cache.G + c_penalty * (A.T @ A) + 2.0 * qs_baseline.RIDGE * np.eye(cache.d)
+    return H, c_penalty * (A.T @ -np.ones(cache.n))
+
+
 def polish_setup(data, lam):
     """(polished z0, cache, tau, alpha) of a fit whose polish succeeds."""
     alpha = 1e-6
@@ -92,7 +103,7 @@ def polish_setup(data, lam):
 class TestLsqFit:
     def test_exact_minimizer(self, rng, circ_data):
         theta = ls_qssvm_fit(circ_data)
-        H, rhs = _lsq_system(build_design(circ_data), 1.0)
+        H, rhs = normal_equations(circ_data, 1.0)
         g = H @ theta.to_vector() - rhs
         assert np.linalg.norm(g) <= 1e-8 * (1.0 + np.linalg.norm(theta.to_vector()))
 
@@ -121,7 +132,7 @@ class TestLsqFit:
 
     def test_rejected_cholesky_retried_with_larger_ridge(self, circ_data, monkeypatch):
         # a refused and a flagged first solve are both retried
-        H, rhs = qs_baseline._lsq_system(build_design(circ_data), 1.0)
+        H, rhs = normal_equations(circ_data, 1.0)
         retried, _ = solve_symmetric(H + 1e-8 * np.eye(H.shape[0]), rhs, True)
         for first in ((None, 0.0), (np.full_like(rhs, np.nan), 1e-20)):
             seen = []
@@ -157,9 +168,10 @@ class TestWarmStart:
         F = margins(theta0, cache)
         assert F.max() <= 1e-8  # separable case polishes to feasibility
 
+    @pytest.mark.usefixtures("no_polish")
     def test_unpolished_keeps_violations_small(self, circ_data):
         cache = build_design(circ_data)
-        theta0, z0 = warm_start_point(cache, alpha=1e-6, lam=10.0, polish=False)
+        theta0, z0 = warm_start_point(cache, alpha=1e-6, lam=10.0)
         F = margins(theta0, cache)
         tau = np.sqrt(2.0 * 1e-6 * 10.0)
         assert F.max() <= tau
@@ -207,6 +219,44 @@ class TestWarmStart:
         assert caught[0].filename == qs_baseline.__file__
         assert report.status is SolveStatus.CONVERGED and report.certificate.passed
 
+    @pytest.mark.filterwarnings("error")
+    def test_polish_reports_a_flagged_saddle_and_the_continuation_warns(self, circ_data,
+                                                                         monkeypatch):
+        # on the (x, y, 1) design both polishes end on a saddle solve LAPACK flags:
+        # the polish returns regular=False without a warning, the hard-margin start
+        # is rejected, and the continuation uses its pair and warns once
+        data = Dataset(np.column_stack([circ_data.points, np.ones(circ_data.n)]),
+                       circ_data.labels)
+        cache = build_design(data)
+        calls, real = [], qs_baseline._active_set_polish
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(qs_baseline, "_active_set_polish", spy)
+        with pytest.warns(LinAlgWarning) as caught:
+            start = warm_start_point(cache, alpha=1e-6, lam=100.0)
+        assert len(caught) == 1
+        assert start.route == "continuation" and not start.regular
+        assert len(calls) == 2
+        ldp, continued = (real(*args) for args in calls)
+        assert not ldp[2]
+        theta, z, regular = continued
+        assert not regular
+        np.testing.assert_array_equal(theta.to_vector(), start[0].to_vector())
+        np.testing.assert_array_equal(z, start[1])
+
+    def test_warm_start_survives_copy_and_pickle(self, circ_data):
+        cache = build_design(circ_data)
+        start = warm_start_point(cache, alpha=1e-6, lam=10.0)
+        assert start.regular and start.route == "ldp"
+        for twin in (copy.copy(start), copy.deepcopy(start), pickle.loads(pickle.dumps(start))):
+            assert type(twin) is WarmStart and len(twin) == 2
+            assert (twin.regular, twin.route) == (start.regular, start.route)
+            np.testing.assert_array_equal(twin[0].to_vector(), start[0].to_vector())
+            np.testing.assert_array_equal(twin[1], start[1])
+
     def test_polish_activates_an_in_band_margin(self):
         # without sample 16 the refit leaves another margin inside (0, tau), so
         # the polish must activate it to reach a consistent pair, which takes a
@@ -215,7 +265,8 @@ class TestWarmStart:
         z0, cache, tau, alpha = polish_setup(data, 10.0)
         start = np.setdiff1d(np.flatnonzero(z0), [16])
         assert _active_set_polish(start, cache, tau, alpha, passes=1) is None
-        theta, z = _active_set_polish(start, cache, tau, alpha)
+        theta, z, regular = _active_set_polish(start, cache, tau, alpha)
+        assert regular
         support = np.flatnonzero(z)
         assert np.setdiff1d(support, start).size == 1
         F = margins(theta, cache)
@@ -753,7 +804,6 @@ class TestLdpStart:
         for npc, route in ((128, "ldp"), (129, "continuation")):
             cache = build_design(generate(GenSpec(kind="circular", n_per_class=npc, seed=0)))
             assert warm_start_point(cache, alpha=1e-6, lam=100.0).route == route
-            warm_start_point(cache, alpha=1e-6, lam=100.0, polish=False)
         assert tried == [qs_baseline._LDP_MAX_N]
 
     @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
@@ -795,14 +845,15 @@ class TestLdpStart:
 
     def test_degenerate_designs_warn_as_the_continuation_does(self, monkeypatch):
         # every hard-margin attempt on the 60 degenerate designs is rejected, 33 on a
-        # flagged saddle solve, without a warning: the fits and their warnings are
-        # the continuation's
+        # flagged final saddle solve and 27 with no consistent set, without a warning:
+        # the fits and their warnings are the continuation's, one for each start that
+        # uses a polished pair whose final saddle solve LAPACK flagged
         cfg = SolverConfig(lam=100.0)
         reps, n_warn = linalg_warnings(lambda: [solve(d, cfg) for d in degenerate_designs()])
         monkeypatch.setattr(qs_baseline, "_nnls", lambda: None)
         expect, n_expect = linalg_warnings(lambda: [solve(d, cfg)
                                                     for d in degenerate_designs()])
-        assert n_warn == n_expect == 61
+        assert n_warn == n_expect == 33
         for rep, exp in zip(reps, expect):
             assert rep.warm_start_route == exp.warm_start_route == "continuation"
             assert rep.status is exp.status and rep.final.iter == exp.final.iter

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning
 
+import quadsurf.baseline as qs_baseline
 import quadsurf.model as qs_model
 import quadsurf.newton as qs_newton
 import quadsurf.stationarity as qs_stationarity
 from quadsurf import (Dataset, GenSpec, SolveStatus, SolverConfig, SolverState,
                       SurfaceParams, accuracy, build_design, gamma_update, generate,
-                      index_sets, load_csv, margins, newton_direction, pstationary_check,
-                      rate_probe, regular, residual, solve, warm_start_point)
-from quadsurf.baseline import _lsq_solve
+                      index_sets, load_csv, ls_qssvm_fit, margins, newton_direction,
+                      pstationary_check, rate_probe, regular, residual, solve,
+                      warm_start_point)
 from quadsurf.newton import GAMMA_FLOOR, GAMMA_INIT, GAMMA_SHRINK
 from quadsurf.stationarity import solve_symmetric
 
@@ -115,6 +116,7 @@ class TestNewtonDirection:
         np.testing.assert_allclose(np.concatenate([d_theta, d_zw]), expect, rtol=1e-9)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.usefixtures("no_polish")
     def test_flagged_step_is_taken_silently(self, monkeypatch):
         # a duplicated feature (x, y, y) makes the saddle matrix singular up to
         # rounding: LAPACK factors it and flags the solution, which is stepped from
@@ -122,7 +124,7 @@ class TestNewtonDirection:
         x, y = data.points.T
         cache = build_design(Dataset(points=np.column_stack([x, y, y]), labels=data.labels))
         cfg = SolverConfig(lam=100.0)
-        theta, z = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=False)
+        theta, z = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam)
         state = make_state(theta, z, cache, alpha=cfg.alpha, lam=cfg.lam, gamma=1e-3)
         solved = []
 
@@ -144,9 +146,10 @@ class TestNewtonDirection:
                 newton_direction(dataclasses.replace(state, gamma=gamma), small_cache)
 
     @pytest.mark.parametrize("part", ["grad_part", "margin_part"])
+    @pytest.mark.usefixtures("no_polish")
     def test_non_finite_input_gives_none(self, circ_data, part):
         cache = build_design(circ_data)
-        theta, z = warm_start_point(cache, alpha=1e-6, lam=10.0, polish=False)
+        theta, z = warm_start_point(cache, alpha=1e-6, lam=10.0)
         state = make_state(theta, z, cache, alpha=1e-6, lam=10.0, gamma=1e-3)
         assert state.working.working.size and newton_direction(state, cache) is not None
         res = state.residual
@@ -231,7 +234,7 @@ class TestSolve:
         assert rep.residual_trace == [math.inf]
         assert not rep.certificate.passed
 
-    def test_gamma_rule_holds_along_trace(self, circ_data):
+    def test_gamma_rule_holds_along_trace(self, circ_data, monkeypatch):
         cache = build_design(circ_data)
         # (config, polished start, steps on the shrink branch).  In the first run every
         # gamma follows the residual down from 1.2e-3.  In the second the start's residual
@@ -240,7 +243,10 @@ class TestSolve:
         runs = [(SolverConfig(eps=1e-12, max_iter=30), False, 0),
                 (SolverConfig(max_iter=3, eps=1e-16), True, 2)]
         for cfg, polish, shrinks in runs:
-            th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=polish)
+            with monkeypatch.context() as patch:
+                if not polish:
+                    patch.setattr(qs_baseline, "_active_set_polish", lambda *args: None)
+                th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam)
             rep = solve(circ_data, cfg, start=(th0, z0))
             gamma_prev, shrunk = GAMMA_INIT, 0
             for r, g in zip(rep.residual_trace, rep.gamma_trace):
@@ -249,20 +255,22 @@ class TestSolve:
                 gamma_prev = g
             assert shrunk == shrinks
 
+    @pytest.mark.usefixtures("no_polish")
     def test_off_working_duals_are_zeroed(self, circ_data):
         cache = build_design(circ_data)
         cfg = SolverConfig(max_iter=3, eps=1e-16)
-        th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=False)
+        th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam)
         rep = solve(circ_data, cfg, start=(th0, z0))
         z = rep.final.z
         outside = np.setdiff1d(np.arange(cache.n), rep.final.working.working)
         np.testing.assert_array_equal(z[outside], 0.0)
 
+    @pytest.mark.usefixtures("no_polish")
     def test_step_zeroes_duals_off_its_working_set(self, circ_data):
         # a step gives no direction to the duals off its working set: it resets them to 0
         cache = build_design(circ_data)
         cfg = SolverConfig(max_iter=1, eps=1e-16)
-        th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=False)
+        th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam)
         z0 = z0 + 0.5
         sets = index_sets(margins(th0, cache), z0, cfg.alpha, cfg.lam)
         outside = np.setdiff1d(np.arange(cache.n), sets.working)
@@ -363,9 +371,22 @@ class TestStart:
         assert len(calls) == rep.final.iter + 1
 
 
+def kept(monkeypatch, module, name):
+    """List that collects what every call of `module.name` returns."""
+    out, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        out.append(real(*args, **kwargs))
+        return out[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return out
+
+
 class TestEndpoint:
     """`solve` certifies from its last residual and takes `regular` from the polish's
-    final saddle solve; both must read as a fresh evaluation of the endpoint."""
+    final saddle solve when it ends on a regular polished start; both must read as a
+    fresh evaluation of the endpoint."""
 
     def test_endpoint_matches_a_fresh_recomputation(self, monkeypatch):
         cfg = SolverConfig(lam=100.0)
@@ -373,17 +394,12 @@ class TestEndpoint:
                 + [generate(GenSpec(kind="circular", n_per_class=600, seed=s, noise=0.3))
                    for s in range(100, 106)]
                 + list(degenerate_designs()))
-        caches, real_build = [], qs_newton.build_design
-
-        def kept_design(data):
-            caches.append(real_build(data))
-            return caches[-1]
-
-        monkeypatch.setattr(qs_newton, "build_design", kept_design)
+        starts = kept(monkeypatch, qs_newton, "warm_start_point")
         flagged_polish = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", LinAlgWarning)
             for i, data in enumerate(fits):
+                n_warned = len(caught)
                 rep = solve(data, cfg)
                 final = rep.final
                 cache = build_design(data)
@@ -392,10 +408,28 @@ class TestEndpoint:
                 assert rep.certificate.to_dict() == fresh.to_dict(), i
                 working = final.working.working
                 assert rep.regular == regular(working, cache), i
-                recorded = caches[-1]._saddle_verdicts.get(working.tobytes())
-                flagged_polish += recorded is False
-        # the polished endpoints include final saddle solves that LAPACK flagged
+                # a start warns exactly when it uses a polished pair that is not regular
+                start, warned = starts[-1], len(caught) > n_warned
+                assert not (warned and start.regular), i
+                flagged_polish += warned and np.array_equal(working, np.flatnonzero(start[1]))
+        # the endpoints include polished starts whose final saddle solve LAPACK flagged
         assert flagged_polish > 0
+
+    def test_solve_leaves_the_design_unchanged(self, monkeypatch):
+        # a hard-margin start, a continuation start with a flagged polish (with its
+        # warning) and a given start: the design holds a and G alone after each fit
+        caches = kept(monkeypatch, qs_newton, "build_design")
+        cfg = SolverConfig(lam=100.0)
+        iris = iris_train(77, 0)
+        data = list(degenerate_designs())[2]  # seed 0 with a constant feature (x, y, 1)
+        rep = solve(iris, cfg)
+        with pytest.warns(LinAlgWarning):
+            flagged = solve(data, cfg)
+        solve(data, cfg, start=(flagged.final.theta, flagged.final.z))
+        assert rep.warm_start_route == "ldp" and flagged.warm_start_route == "continuation"
+        assert len(caches) == 3
+        for cache in caches:
+            assert vars(cache).keys() == {"a", "G"}
 
     def test_certificate_phase_solves(self, monkeypatch):
         # Inside `solve` only `regular` reaches `solve_symmetric` through the
@@ -488,7 +522,7 @@ class TestConstantSurface:
         # Newton from the least-squares point with zero duals certifies h = const
         data = iris_train(77, 0)
         cache = build_design(data)
-        start = (SurfaceParams.from_vector(_lsq_solve(cache, 100.0), cache.m), np.zeros(cache.n))
+        start = (ls_qssvm_fit(data, 100.0), np.zeros(cache.n))
         rep = solve(data, SolverConfig(lam=100.0), start=start)
         assert_certified(rep)
         assert is_constant(rep)
@@ -496,10 +530,11 @@ class TestConstantSurface:
 
 
 class TestSolveFailures:
+    @pytest.mark.usefixtures("no_polish")
     def test_singular_step_keeps_partial_trace(self, circ_data, monkeypatch):
         cache = build_design(circ_data)
         cfg = SolverConfig(eps=1e-12, max_iter=30)
-        th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=False)
+        th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam)
         calls = []
 
         def fail_second_step(K, rhs, positive_definite=False):
@@ -552,11 +587,12 @@ class TestRateProbe:
         pr = rate_probe([1.0, 0.5, 1e-3])
         assert pr.inconclusive
 
+    @pytest.mark.usefixtures("no_polish")
     def test_solver_trace_quadratic(self):
         data = generate(GenSpec(kind="convex2d", n_per_class=50, seed=2))
         cache = build_design(data)
         cfg = SolverConfig(alpha=4e-6, rho=3.0, eps=1e-10, max_iter=20)
-        th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam, polish=False)
+        th0, z0 = warm_start_point(cache, alpha=cfg.alpha, lam=cfg.lam)
         rep = solve(data, cfg, start=(th0, z0))
         pr = rate_probe(rep.residual_trace)
         assert rep.status is SolveStatus.CONVERGED

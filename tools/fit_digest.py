@@ -36,7 +36,10 @@ whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
     noisy_warm_start_evals   `warm_start_evals` over the noisy fits
     degenerate_digest  the same over the degenerate fits, with each
                        design's LS fit theta
-    degenerate_warnings  LinAlgWarnings raised by the degenerate fits
+    degenerate_warnings  LinAlgWarnings raised by the degenerate fits: one
+                       for each continuation start that uses a polished pair
+                       whose final saddle solve LAPACK flagged (the polish
+                       itself never warns)
     degenerate_statuses  degenerate Newton fits per final status, as
                        status=count in the order of the status names
     degenerate_reversed_statuses  the same for the degenerate designs
