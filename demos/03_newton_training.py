@@ -1,9 +1,11 @@
 """Training on the three synthetic families with the damped Newton solver.
 
 Each dataset is separable by construction (a line, a circle, a parabola),
-so a 100%-accuracy surface exists.  The solver starts from a
-least-squares fit refined by a squared-hinge continuation and then drives
-the stationarity residual below 1e-8, certifying the result.
+so a 100%-accuracy surface exists.  The solver starts from the
+hard-margin surface, which one nonnegative least-squares solve finds on
+these 100-sample designs (a squared-hinge continuation from theta = 0
+takes over when that start is rejected), polishes its active set, and then
+drives the stationarity residual below 1e-8, certifying the result.
 """
 
 import numpy as np

@@ -20,23 +20,16 @@ the extension is missing, the continuation below runs unchanged.
 The continuation minimizes a squared-hinge objective in two fixed stages, at
 the penalties mu = 1e4 and then 1e8, the first handing its point, margins
 and G theta to the second; the polish that ends it depends only on the
-active set it is handed.  Both stages always run: a stop at an intermediate
-penalty 1e6, once violations fit in a quarter of the working band, left
-violations near 1e-3 and a band set that had not settled, and the Newton
-iteration from that start ended at a constant surface or failed on 5 of
-600 clean draws and 41 of the predict-row set-up draws of seeds 1-1200.
-The first stage starts at theta = 0, where every margin is 1 and so active:
-its first full Newton step is the least-squares point of weight C = 2 mu.
-Each stage objective is strictly convex on a design of full rank, so the
-start moves the path, not the endpoint: a start on the ray of the C = 10
-least-squares point, scaled to the first stage's minimizer, gave the same
-active set on the 256 iris fits of tools/fit_digest.py and noisy Newton
-endpoints within 1e-13 relative.
-Newton passes accept a step against the largest of the last three
-accepted objective values (nonmonotone Armijo), so a full step that
-overshoots while the active set settles is taken instead of backtracked;
-like the start, that rule moves the passes a stage takes, not the
-minimizer it ends on.
+active set it is handed.  Both stages always run: a stop between them
+leaves a band set that has not settled.  The first stage starts at
+theta = 0, where every margin is 1 and so active: its first full Newton
+step is the least-squares point of weight C = 2 mu.  Each stage objective
+is strictly convex on a design of full rank, so the start moves the path,
+not the endpoint.  Newton passes accept a step against the largest of the
+last three accepted objective values (nonmonotone Armijo), so a full step
+that overshoots while the active set settles is taken instead of
+backtracked; like the start, that rule moves the passes a stage takes, not
+the minimizer it ends on.
 
 Each solve judges what `solve_symmetric` returns: x is None when LAPACK
 refuses the factorisation, and an rcond below machine epsilon flags x.
@@ -45,12 +38,10 @@ exact matrix, so a pass on a settled active set lands on the stage's
 minimizer, then, when LAPACK refuses or flags it, the matrix plus a ridge,
 which raises LinAlgError when refused or flagged in turn.  Without the
 ridge, 11 of 20 designs of collinear points (whose exact hinge matrices
-are all singular) ended as singular systems.  A second shift, 1e-14
-(1 + mu) I on every exact attempt, changed no iris fit and no status or
-step count of 1200 predict-row set-up fits and 288 noisy circular fits
-(theta by at most 6.3e-13 relative on those checked), so there is none.
-The polish gives up on a refused or non-finite saddle solve and reports
-whether LAPACK flagged its last one; it never warns, its callers decide.
+are all singular) ended as singular systems.  A small shift on every
+exact attempt moved no fit, so there is none.  The polish gives up on a
+refused or non-finite saddle solve and reports whether LAPACK flagged its
+last one; it never warns, its callers decide.
 """
 
 import functools
@@ -67,7 +58,7 @@ from scipy.linalg import LinAlgError, LinAlgWarning, blas
 
 from .model import (Dataset, DesignCache, SurfaceParams, build_design, predict_many)
 from .prox import ProxParams, prox_branches
-from .stationarity import _EPS, cholesky_lower, saddle_matrix, solve_symmetric
+from .stationarity import _EPS, cholesky_lower, regular, saddle_matrix, solve_symmetric
 
 RIDGE = 1e-10
 # Ridge of the hinge-Newton matrix's fallback solve, relative to 1 + mu.
@@ -241,7 +232,8 @@ def _ldp_start(cache: DesignCache, tau: float, alpha: float):
 class WarmStart(tuple):
     """The pair (theta0, z0), which unpacks as a 2-tuple, with the `route` that
     found it, "ldp" (the hard-margin start) or "continuation", and `regular`:
-    whether a polish found z0 and reported its support regular."""
+    `stationarity.regular`'s verdict on z0's support.  A fit that ends on its
+    warm start's support keeps the start's verdict."""
 
     def __new__(cls, theta, z, regular: bool, route: str):
         start = super().__new__(cls, (theta, z))
@@ -277,6 +269,11 @@ def warm_start_point(cache: DesignCache, *, alpha: float, lam: float) -> WarmSta
     penalty gradients 1e8 * max(F, 0), which satisfy the gradient balance
     at theta0 exactly; entries that would land outside the working band are
     zeroed since the first iteration prices them out anyway.
+
+    Every start carries `regular`'s verdict on z0's support: a polished
+    pair's is the polish's own, from that very saddle factorization, and the
+    penalty duals' is one `regular` call, with no factorization when they
+    hold more than d rows.
     """
     tau = ProxParams(alpha=alpha, lam=lam).threshold
     if cache.n <= _LDP_MAX_N:
@@ -305,7 +302,8 @@ def warm_start_point(cache: DesignCache, *, alpha: float, lam: float) -> WarmSta
 
     z0 = _HINGE_PENALTIES[-1] * np.maximum(F, 0.0)
     z0[F + alpha * z0 >= tau] = 0.0
-    return WarmStart(SurfaceParams.from_vector(th, cache.m), z0, False, "continuation")
+    return WarmStart(SurfaceParams.from_vector(th, cache.m), z0,
+                     regular(np.flatnonzero(z0), cache), "continuation")
 
 
 def _active_set_polish(act, cache, tau, alpha, passes=40):

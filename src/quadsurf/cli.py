@@ -3,10 +3,10 @@
 `fit` trains, certifies and writes the library's own record of the fit,
 `SolveReport.to_dict()`, whose `regular` also answers whether every
 nonempty subset of the final working set is regular: one saddle
-factorization answers both, the polish's when the fit ends on its set.  Exit codes: 0 on
-success (a converged fit whose certificate passes, a completed run), 2 on
-input errors, 3 on solver failures (a fit that did not converge or is not
-certified).
+factorization answers both, and a fit that ends on its warm start's
+support keeps the start's verdict.  Exit codes: 0 on success (a converged
+fit whose certificate passes, a completed run), 2 on input errors, 3 on
+solver failures (a fit that did not converge or is not certified).
 """
 
 import argparse
@@ -130,7 +130,10 @@ def cmd_bench(args) -> int:
 
 def cmd_grid(args) -> int:
     with open(args.report) as fh:
-        rep = json.load(fh)
+        try:
+            rep = json.load(fh)
+        except ValueError as err:  # not JSON, or not text
+            raise InputError(f"{args.report}: not a JSON fit report ({err})") from err
     try:
         th = rep["theta"]
         theta = SurfaceParams(np.asarray(th["wtri"]), np.asarray(th["b"]), th["c"])

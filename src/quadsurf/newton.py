@@ -24,6 +24,7 @@ from scipy.linalg import LinAlgError
 
 from .baseline import warm_start_point
 from .model import Dataset, DesignCache, SurfaceParams, _integer_setting, build_design
+from .prox import ProxParams
 from .stationarity import (IndexSets, PStatCertificate, ResidualParts, _certify, regular,
                            residual, saddle_matrix, solve_symmetric)
 
@@ -62,6 +63,7 @@ class SolverConfig:
             # True > 0 holds, so a bool would pass as 1.0 and be recorded as true
             if isinstance(value, (bool, np.bool_)) or not value > 0:
                 raise ValueError(f"{name} must be a positive number, got {value!r}")
+        ProxParams(alpha=self.alpha, lam=self.lam)  # finite, with a finite threshold
         object.__setattr__(self, "max_iter", _integer_setting("max_iter", self.max_iter, 1))
 
 
@@ -124,8 +126,9 @@ class SolveReport:
     working_sizes: list
     status: SolveStatus
     certificate: PStatCertificate
-    # `stationarity.regular` on the final working set.  The certificate can pass
-    # a point the local rate does not cover, a constant surface among them.
+    # `stationarity.regular` on the final working set; a fit that ends on its warm
+    # start's support keeps the start's verdict.  The certificate can pass a point
+    # the local rate does not cover, a constant surface among them.
     regular: bool
     config: SolverConfig  # the parameters `solve` ran with
     # How the start was found: "ldp" (the hard-margin start), "continuation" (the
@@ -133,8 +136,7 @@ class SolveReport:
     warm_start_route: str
     # Seconds in each phase of `solve`: "design", "warm_start" (0.0 when `start`
     # was given), "newton" (the loop) and "certificate" (with the regularity
-    # verdict; the certificate reuses the loop's last margins and G theta, and
-    # the verdict is the polish's when the fit ends on a regular polished start).
+    # verdict; the certificate reuses the loop's last margins and G theta).
     # They sum to at most wall_time.
     phase_s: dict
     wall_time: float
@@ -244,10 +246,9 @@ def solve(data: Dataset, config: SolverConfig = SolverConfig(),
     # res was evaluated at the final (theta, z): every exit above follows a residual
     certificate = _certify(res.F, res.G_theta, z, config.alpha, config.lam, cache,
                            tol=config.eps * 10.0)
-    # a fit ending on a regular polished start's support keeps the polish's verdict
-    is_regular = ((warm is not None and warm.regular
-                   and np.array_equal(working, np.flatnonzero(warm[1])))
-                  or regular(working, cache))
+    # a fit that ends on its warm start's support keeps the start's verdict
+    kept = warm is not None and np.array_equal(working, np.flatnonzero(warm[1]))
+    is_regular = warm.regular if kept else regular(working, cache)
     t_cert = time.perf_counter()
     phase_s = {"design": t_design - t0, "warm_start": t_warm - t_design,
                "newton": t_newton - t_warm, "certificate": t_cert - t_newton}

@@ -20,8 +20,11 @@ class ProxParams:
     lam: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.lam > 0):
-            raise ValueError(f"alpha and lam must be positive, got {self.alpha}, {self.lam}")
+        # alpha * z and the threshold enter every working-set test: both must stay finite
+        if not (0 < self.alpha < math.inf and 0 < self.lam < math.inf
+                and math.isfinite(self.threshold)):
+            raise ValueError("alpha and lam must be positive and finite, with a finite "
+                             f"sqrt(2*lam*alpha), got alpha={self.alpha}, lam={self.lam}")
 
     @property
     def threshold(self) -> float:

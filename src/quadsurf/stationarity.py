@@ -279,16 +279,13 @@ def regular(working: np.ndarray, cache: DesignCache) -> bool:
     With G positive semidefinite this holds exactly when a_T has full row
     rank and G is positive definite on the null space of a_T (Nocedal &
     Wright, Lemma 16.1): the regularity the local quadratic rate assumes.
-    More than d rows cannot be independent, so such a set is judged with no
-    factorization.  Otherwise the saddle is solved as every other system
-    is, and the set is regular unless LAPACK refuses the solve or flags it
-    (rcond below machine epsilon).  An empty set is never regular: its
-    saddle is G alone, which has no curvature in c.
-
-    The warm start's polish factors this very matrix over its final set
-    through the same dsytrf and dsycon (its right-hand side differs, which
-    neither reads) and returns the same verdict, so `solve` calls this only
-    when the fit does not end on the support of a regular polished start.
+    Only a set of 1 to d rows is factored: more than d rows cannot be
+    independent, and an empty set's saddle is G alone, which has no
+    curvature in c.  The saddle is solved as every other system is, and the
+    set is regular unless LAPACK refuses the solve or flags it (rcond below
+    machine epsilon).  Every warm start carries this verdict on its own
+    support (`WarmStart.regular`), and a fit that ends on its warm start's
+    support keeps the start's verdict.
 
     For a G built by `build_design`, a nonempty T is regular exactly when
     every nonempty subset of T is, so this one verdict also answers the
@@ -302,7 +299,7 @@ def regular(working: np.ndarray, cache: DesignCache) -> bool:
     no working set is regular, nor is any subset of one.
     """
     working = np.asarray(working, dtype=int).ravel()
-    if working.size > cache.d:
+    if not 0 < working.size <= cache.d:
         return False
     K = saddle_matrix(working, cache)
     x, rcond = solve_symmetric(K, np.zeros(K.shape[0]))

@@ -15,7 +15,7 @@ import quadsurf.baseline as qs_baseline
 import quadsurf.newton as qs_newton
 from quadsurf import (BenchProtocol, Dataset, DesignCache, GenSpec, Normalize, SolverConfig,
                       SolveStatus, accuracy, apply_normalizer, build_design, fit_normalizer,
-                      generate, load_csv, ls_qssvm_fit, margins, run_bench,
+                      generate, load_csv, ls_qssvm_fit, margins, regular, run_bench,
                       smooth_gradient, solve, split, warm_start_point)
 from quadsurf.baseline import WarmStart, _active_set_polish, _hinge_sq_minimize
 from quadsurf.bench import METHODS, _fit_and_score
@@ -246,6 +246,32 @@ class TestWarmStart:
         assert not regular
         np.testing.assert_array_equal(theta.to_vector(), start[0].to_vector())
         np.testing.assert_array_equal(z, start[1])
+
+    @pytest.mark.parametrize("case, fixture, route, verdict", [
+        ("iris", None, "ldp", True),
+        ("iris", "continuation_only", "continuation", True),
+        ("constant_feature", None, "continuation", False),
+        ("circ", "no_polish", "continuation", True),
+    ], ids=["ldp", "regular_polish", "flagged_polish", "penalty_duals"])
+    def test_verdict_is_regular_on_the_start_support(self, request, circ_data, case,
+                                                     fixture, route, verdict):
+        # every route's `regular` is `stationarity.regular` on z0's support; the
+        # penalty duals at lam 10 hold d = 6 rows, which `regular` factors
+        if fixture is not None:
+            request.getfixturevalue(fixture)
+        data, lam = {
+            "iris": (iris_train(77, 0), 100.0),
+            "constant_feature": (Dataset(np.column_stack([circ_data.points,
+                                                          np.ones(circ_data.n)]),
+                                         circ_data.labels), 100.0),
+            "circ": (circ_data, 10.0),
+        }[case]
+        cache = build_design(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            start = warm_start_point(cache, alpha=1e-6, lam=lam)
+        assert start.route == route and start.regular is verdict
+        assert regular(np.flatnonzero(start[1]), cache) is verdict
 
     def test_warm_start_survives_copy_and_pickle(self, circ_data):
         cache = build_design(circ_data)

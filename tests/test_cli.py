@@ -166,6 +166,13 @@ class TestFit:
             main(["fit", circ_csv, f"--{name}", value])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--alpha", "inf"], ["--lambda", "inf"],
+                                       ["--alpha", "1e308", "--lambda", "1e308"]])
+    def test_non_finite_prox_parameters_exit_two(self, circ_csv, capsys, flags):
+        # these used to reach the fit, warn "invalid value" or "overflow" and exit 3
+        assert main(["fit", circ_csv, *flags]) == 2
+        assert "alpha and lam must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
     def test_failed_warm_start_exit_three(self, tmp_path, capsys):
         from pathlib import Path
@@ -223,6 +230,12 @@ class TestGrid:
         report.write_text(json.dumps(doc))
         assert main(["grid", str(report), "--out", str(tmp_path / "g.csv")]) == 2
         assert str(report) in capsys.readouterr().err
+
+    def test_report_that_is_not_json_exit_two(self, circ_csv, tmp_path, capsys):
+        # the decoder's message alone used to name no file
+        assert main(["grid", circ_csv, "--out", str(tmp_path / "g.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{circ_csv}: not a JSON fit report" in err and "Expecting value" in err
 
     def test_bad_bbox_exit_two(self, circ_csv, tmp_path):
         report = str(tmp_path / "report.json")

@@ -28,7 +28,8 @@ def test_same_digest_twice():
                           "warm_start_solves", "warm_start_evals", "ldp_starts", "noisy_digest",
                           "noisy_warm_start_solves", "noisy_warm_start_evals",
                           "degenerate_digest", "degenerate_warnings", "degenerate_statuses",
-                          "degenerate_reversed_statuses", "endpoint_mismatches"}
+                          "degenerate_reversed_statuses", "endpoint_mismatches",
+                          "regular_solves"}
     assert len(first["digest"]) == len(first["noisy_digest"]) == 64
     assert len(first["degenerate_digest"]) == 64
     assert 0.0 <= float(first["accuracy_pct"]) <= 100.0

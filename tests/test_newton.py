@@ -41,7 +41,8 @@ class TestGammaUpdate:
 
 class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [{"lam": 0.0}, {"alpha": -1.0}, {"rho": 0.0},
-                                        {"eps": 0.0}, {"max_iter": 0}])
+                                        {"eps": 0.0}, {"max_iter": 0}, {"alpha": math.inf},
+                                        {"lam": math.inf}, {"lam": 1e308, "alpha": 1e308}])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
@@ -384,9 +385,9 @@ def kept(monkeypatch, module, name):
 
 
 class TestEndpoint:
-    """`solve` certifies from its last residual and takes `regular` from the polish's
-    final saddle solve when it ends on a regular polished start; both must read as a
-    fresh evaluation of the endpoint."""
+    """`solve` certifies from its last residual and keeps its warm start's `regular`
+    when it ends on that start's support; both must read as a fresh evaluation of the
+    endpoint."""
 
     def test_endpoint_matches_a_fresh_recomputation(self, monkeypatch):
         cfg = SolverConfig(lam=100.0)
@@ -449,6 +450,11 @@ class TestEndpoint:
         started = solve(data, cfg, start=(rep.final.theta, rep.final.z))
         assert started.final.iter == 0 and started.regular
         assert len(calls) == 1  # a given start brings no factored saddle
+        # a fit ending on a flagged polished start keeps that verdict too
+        with pytest.warns(LinAlgWarning):
+            flagged = solve(list(degenerate_designs())[2], cfg)  # the (x, y, 1) design
+        assert flagged.final.iter == 0 and not flagged.regular
+        assert len(calls) == 1
 
 
 def is_constant(rep):

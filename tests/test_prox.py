@@ -73,6 +73,15 @@ class TestPositiveCount:
         assert positive_count(u) == sum(zero_one_loss(t) for t in u)
 
 
+class TestProxParams:
+    @pytest.mark.parametrize("alpha, lam", [(math.inf, 1.0), (1.0, math.inf),
+                                            (1e308, 1e308), (math.nan, 1.0), (0.0, 1.0)])
+    def test_rejects_a_non_finite_or_non_positive_pair(self, alpha, lam):
+        # 1e308 each: finite, but 2 * lam * alpha overflows to an infinite threshold
+        with pytest.raises(ValueError, match="alpha and lam must be positive and finite"):
+            ProxParams(alpha=alpha, lam=lam)
+
+
 class TestProxScalar:
     def test_interior_collapses(self):
         p = ProxParams(alpha=0.5, lam=1.0)  # threshold = 1

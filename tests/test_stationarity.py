@@ -331,6 +331,17 @@ class TestRankCheck:
         assert not regular(np.array([], dtype=int), small_cache)
         assert regular(np.array([0]), small_cache)
 
+    def test_empty_set_judged_without_a_solve(self, small_cache, monkeypatch):
+        calls = []
+
+        def spy(K, rhs, positive_definite=False):
+            calls.append(K.shape)
+            return solve_symmetric(K, rhs, positive_definite)
+
+        monkeypatch.setattr(qs_stationarity, "solve_symmetric", spy)
+        assert not regular(np.array([], dtype=int), small_cache)
+        assert calls == []
+
     def test_generic_rows_independent(self, rng):
         data = random_dataset(rng, 10, 2)
         cache = build_design(data)

@@ -10,7 +10,7 @@ also fits six noisy circular draws (600 per class, noise 0.3, seeds
 100-105, lam = 100), which take Newton steps, and 60 degenerate designs,
 whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
 0-19, lam = 100) made collinear (x2 = 2 x1), given a duplicated feature
-(x, y, y) or a constant one (x, y, 1).  It prints fifteen lines:
+(x, y, y) or a constant one (x, y, 1).  It prints sixteen lines:
 
     digest             sha256 over theta, z, status, iterations and the
                        certificate JSON of every Newton fit, the LS fit's
@@ -53,6 +53,12 @@ whose solves LAPACK refuses or flags: circular draws (50 per class, seeds
                        the final (theta, z) on a newly built design; it enters
                        no digest and reads 0 when `solve` evaluates its
                        endpoint faithfully
+    regular_solves     `stationarity.regular` factorizations inside `solve`
+                       over the iris, noisy and degenerate fits (calls of
+                       `quadsurf.stationarity.solve_symmetric`, the fresh
+                       evaluations of `endpoint_mismatches` left out); a fit
+                       that ends on its warm start's support keeps the start's
+                       verdict and runs none.  It enters no digest
 
 Run from the root of a source checkout; the library is imported from its
 ``src/`` directory.  Equal digests mean bit-identical results.
@@ -80,6 +86,7 @@ import numpy as np  # noqa: E402
 from scipy.linalg import LinAlgWarning  # noqa: E402
 
 import quadsurf.baseline as qs_baseline  # noqa: E402
+import quadsurf.stationarity as qs_stationarity  # noqa: E402
 from quadsurf import (Dataset, GenSpec, Normalize, SolverConfig, SolveStatus,  # noqa: E402
                       apply_normalizer, build_design, fit_normalizer, generate, load_csv,
                       ls_qssvm_fit, predict_many, pstationary_check, regular, solve, split)
@@ -113,32 +120,36 @@ def _linalg_warnings(caught) -> int:
 
 
 @contextlib.contextmanager
-def _counted_warm_start_calls():
-    """Count the `solve_symmetric` and `_hinge_sq_objective` calls made through
-    `quadsurf.baseline`, which inside `solve` only `warm_start_point` makes, in a
-    Counter under "solves" and "evals"."""
+def _counted_calls():
+    """Count, in a Counter, the `solve_symmetric` and `_hinge_sq_objective` calls made
+    through `quadsurf.baseline`, which inside `solve` only `warm_start_point` makes,
+    under "solves" and "evals", and the `solve_symmetric` calls made through
+    `quadsurf.stationarity`, which only `regular` makes, under "regular"."""
     calls = Counter()
-    real_solve, real_value = qs_baseline.solve_symmetric, qs_baseline._hinge_sq_objective
+    patched = [(qs_baseline, "solve_symmetric", "solves"),
+               (qs_baseline, "_hinge_sq_objective", "evals"),
+               (qs_stationarity, "solve_symmetric", "regular")]
+    real = [getattr(module, name) for module, name, _ in patched]
 
-    def counted_solve(*args, **kwargs):
-        calls["solves"] += 1
-        return real_solve(*args, **kwargs)
+    def counted(fn, key):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
 
-    def counted_value(*args):
-        calls["evals"] += 1
-        return real_value(*args)
-
-    qs_baseline.solve_symmetric, qs_baseline._hinge_sq_objective = counted_solve, counted_value
+    for (module, name, key), fn in zip(patched, real):
+        setattr(module, name, counted(fn, key))
     try:
         yield calls
     finally:
-        qs_baseline.solve_symmetric, qs_baseline._hinge_sq_objective = real_solve, real_value
+        for (module, name, _), fn in zip(patched, real):
+            setattr(module, name, fn)
 
 
 def fit_digest(seeds, trials: int):
     """(sha256 hex digest, LinAlgWarning count, mean Newton accuracy in %, regular fits,
     mean warm-start solves per fit, mean hinge objective evaluations per fit, hard-margin
-    starts, endpoint mismatches)."""
+    starts, endpoint mismatches, `regular` factorizations inside `solve`)."""
     data = load_csv(IRIS_CSV, class_pair=(1, 2))
     h = hashlib.sha256()
     accs = []
@@ -154,7 +165,7 @@ def fit_digest(seeds, trials: int):
                 train = apply_normalizer(train, shift, scale)
                 test = apply_normalizer(test, shift, scale)
 
-                with _counted_warm_start_calls() as calls:
+                with _counted_calls() as calls:
                     report = solve(train, SOLVER)
                 n_calls += calls
                 _update_with_fit(h, report)
@@ -173,23 +184,25 @@ def fit_digest(seeds, trials: int):
     acc = float(np.mean(accs)) if accs else float("nan")
     fits = len(seeds) * trials
     return (h.hexdigest(), _linalg_warnings(caught), acc, n_regular, n_calls["solves"] / fits,
-            n_calls["evals"] / fits, n_ldp, n_mismatch)
+            n_calls["evals"] / fits, n_ldp, n_mismatch, n_calls["regular"])
 
 
 def noisy_digest():
     """(sha256 hex digest, endpoint mismatches, mean warm-start solves per fit, mean
-    hinge objective evaluations per fit) over the Newton fits of the NOISY draws."""
+    hinge objective evaluations per fit, `regular` factorizations inside `solve`) over
+    the Newton fits of the NOISY draws."""
     h = hashlib.sha256()
     n_mismatch = 0
     n_calls = Counter()
     for spec in NOISY:
         data = generate(spec)
-        with _counted_warm_start_calls() as calls:
+        with _counted_calls() as calls:
             report = solve(data, SOLVER)
         n_calls += calls
         _update_with_fit(h, report)
         n_mismatch += _endpoint_mismatch(report, data)
-    return h.hexdigest(), n_mismatch, n_calls["solves"] / len(NOISY), n_calls["evals"] / len(NOISY)
+    return (h.hexdigest(), n_mismatch, n_calls["solves"] / len(NOISY),
+            n_calls["evals"] / len(NOISY), n_calls["regular"])
 
 
 def degenerate_designs():
@@ -204,19 +217,23 @@ def degenerate_designs():
 
 def degenerate_digest():
     """(sha256 hex digest, LinAlgWarning count, Newton fits per status name, endpoint
-    mismatches) over the Newton and LS fits of the degenerate designs."""
+    mismatches, `regular` factorizations inside `solve`) over the Newton and LS fits of
+    the degenerate designs."""
     h = hashlib.sha256()
     statuses = Counter()
     n_mismatch = 0
+    n_calls = Counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LinAlgWarning)
         for data in degenerate_designs():
-            report = solve(data, SOLVER)
+            with _counted_calls() as calls:
+                report = solve(data, SOLVER)
+            n_calls += calls
             _update_with_fit(h, report)
             statuses[report.status.value] += 1
             n_mismatch += _endpoint_mismatch(report, data)
             h.update(ls_qssvm_fit(data).to_vector().tobytes())
-    return h.hexdigest(), _linalg_warnings(caught), statuses, n_mismatch
+    return h.hexdigest(), _linalg_warnings(caught), statuses, n_mismatch, n_calls["regular"]
 
 
 def degenerate_reversed_statuses():
@@ -238,10 +255,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.trials < 1:
         ap.error("--trials must be >= 1")
-    digest, n_warn, acc, n_regular, solves, evals, n_ldp, iris_mismatch = fit_digest(
-        args.seeds, args.trials)
-    noisy, noisy_mismatch, noisy_solves, noisy_evals = noisy_digest()
-    degenerate, n_degenerate_warn, statuses, degenerate_mismatch = degenerate_digest()
+    (digest, n_warn, acc, n_regular, solves, evals, n_ldp, iris_mismatch,
+     iris_regular) = fit_digest(args.seeds, args.trials)
+    noisy, noisy_mismatch, noisy_solves, noisy_evals, noisy_regular = noisy_digest()
+    (degenerate, n_degenerate_warn, statuses, degenerate_mismatch,
+     degenerate_regular) = degenerate_digest()
     print(f"digest               {digest}")
     print(f"linalg_warnings      {n_warn}")
     print(f"accuracy_pct         {acc:.3f}")
@@ -257,6 +275,7 @@ def main(argv=None):
     print(f"degenerate_statuses  {_status_line(statuses)}")
     print(f"degenerate_reversed_statuses  {_status_line(degenerate_reversed_statuses())}")
     print(f"endpoint_mismatches  {iris_mismatch + noisy_mismatch + degenerate_mismatch}")
+    print(f"regular_solves       {iris_regular + noisy_regular + degenerate_regular}")
 
 
 if __name__ == "__main__":
